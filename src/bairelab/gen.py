@@ -1,17 +1,16 @@
 """Random and exhaustive generators for syntax trees.
 
-Two families live here: hypothesis strategies for property tests, and plain
-seeded `random.Random` generators used where a frozen seed must reproduce
-the same stream forever (the acceptance checks).  A dynamic programming
-enumerator for small propositional formulas rounds things out.
+Seeded `random.Random` generators reproduce the same stream forever for a
+frozen seed (the acceptance checks rely on it), and a dynamic programming
+enumerator lists small propositional formulas by size.  Hypothesis
+strategies for property tests live with the tests, so the package needs
+no third-party import.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
-
-from hypothesis import strategies as st
 
 from .prop import PAnd, PAtom, PImp, PNot, POr, PropFormula
 from .syntax import (
@@ -20,7 +19,6 @@ from .syntax import (
     Apply,
     BExistsN,
     BForallN,
-    ContApply,
     Eq,
     ExistsF,
     ExistsN,
@@ -36,8 +34,6 @@ from .syntax import (
     NumVar,
     Or,
     Pair,
-    PrefixCode,
-    SeqExt,
     Succ,
     Term,
     numeral,
@@ -45,61 +41,6 @@ from .syntax import (
 
 NUM_POOL = ("x", "y", "z", "u", "v", "w")
 FUN_POOL = ("@a", "@b", "@g")
-
-
-# ---------------------------------------------------------------------------
-# hypothesis strategies
-
-
-def _functors(ts: st.SearchStrategy[Term]) -> st.SearchStrategy[Functor]:
-    fv = st.sampled_from(FUN_POOL).map(FnVar)
-    lam = st.builds(Lambda, st.sampled_from(NUM_POOL), ts)
-    shallow = st.one_of(fv, lam)
-    return st.one_of(fv, lam, st.builds(ContApply, shallow, shallow))
-
-
-def terms() -> st.SearchStrategy[Term]:
-    base = st.one_of(
-        st.integers(0, 9).map(numeral),
-        st.sampled_from(NUM_POOL).map(NumVar),
-    )
-
-    def extend(children: st.SearchStrategy[Term]) -> st.SearchStrategy[Term]:
-        fs = _functors(children)
-        return st.one_of(
-            children.map(Succ),
-            st.builds(Add, children, children),
-            st.builds(Mul, children, children),
-            st.builds(Pair, children, children),
-            st.builds(SeqExt, children, children),
-            st.builds(Apply, fs, children),
-            st.builds(PrefixCode, fs, children),
-        )
-
-    return st.recursive(base, extend, max_leaves=12)
-
-
-def formulas() -> st.SearchStrategy[Formula]:
-    ts = terms()
-    atoms = st.builds(Eq, ts, ts)
-
-    def extend(children: st.SearchStrategy[Formula]) -> st.SearchStrategy[Formula]:
-        nv = st.sampled_from(NUM_POOL)
-        fv = st.sampled_from(FUN_POOL)
-        return st.one_of(
-            st.builds(And, children, children),
-            st.builds(Or, children, children),
-            st.builds(Imp, children, children),
-            children.map(Not),
-            st.builds(ForallN, nv, children),
-            st.builds(ExistsN, nv, children),
-            st.builds(ForallF, fv, children),
-            st.builds(ExistsF, fv, children),
-            st.builds(BForallN, nv, ts, children),
-            st.builds(BExistsN, nv, ts, children),
-        )
-
-    return st.recursive(atoms, extend, max_leaves=10)
 
 
 # ---------------------------------------------------------------------------

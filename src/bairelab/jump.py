@@ -151,19 +151,11 @@ class Barred:
 
 
 @dataclass(frozen=True)
-class UnbarredPath:
-    # No finite exploration can actually certify an infinite live path;
-    # the constructor exists for API completeness and is never produced
-    # by bar_verify, which reports DepthExhausted instead.
-    path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DepthExhausted:
     path: tuple[int, ...]
 
 
-BarVerdict = Union[Barred, UnbarredPath, DepthExhausted]
+BarVerdict = Union[Barred, DepthExhausted]
 
 RhoFn = Callable[[int], int]
 

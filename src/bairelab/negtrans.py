@@ -32,6 +32,8 @@ from .syntax import (
     Or,
     PrefixCode,
     Zero,
+    children,
+    rebuild,
 )
 
 
@@ -43,20 +45,10 @@ def neg_translate(f: Formula) -> Formula:
     match f:
         case Eq(_, _):
             return Not(Not(f))
-        case And(a, b):
-            return And(neg_translate(a), neg_translate(b))
-        case Imp(a, b):
-            return Imp(neg_translate(a), neg_translate(b))
-        case Not(a):
-            return Not(neg_translate(a))
+        case And() | Imp() | Not() | ForallN() | ForallF() | BForallN():
+            return _map_subformulas(neg_translate, f)
         case Or(a, b):
             return Not(And(Not(neg_translate(a)), Not(neg_translate(b))))
-        case ForallN(v, a):
-            return ForallN(v, neg_translate(a))
-        case ForallF(v, a):
-            return ForallF(v, neg_translate(a))
-        case BForallN(v, t, a):
-            return BForallN(v, t, neg_translate(a))
         case ExistsN(v, a):
             return Not(ForallN(v, Not(neg_translate(a))))
         case ExistsF(v, a):
@@ -72,56 +64,27 @@ def is_negative(f: Formula) -> bool:
     match f:
         case Not(Not(Eq(_, _))):
             return True
-        case Eq(_, _):
+        case Eq() | Or() | ExistsN() | ExistsF() | BExistsN():
             return False
-        case Or(_, _) | ExistsN(_, _) | ExistsF(_, _) | BExistsN(_, _, _):
-            return False
-        case And(a, b) | Imp(a, b):
-            return is_negative(a) and is_negative(b)
-        case Not(a):
-            return is_negative(a)
-        case ForallN(_, a) | ForallF(_, a) | BForallN(_, _, a):
-            return is_negative(a)
+        case And() | Imp() | Not() | ForallN() | ForallF() | BForallN():
+            return all(is_negative(k) for k in children(f) if isinstance(k, Formula))
         case _:
             raise TypeError(f"not a formula: {f!r}")
 
 
+def _map_subformulas(fn, f: Formula) -> Formula:
+    """Rebuild f with fn applied to its formula children; terms stay put."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return rebuild(f, tuple([fn(k) if isinstance(k, Formula) else k for k in children(f)]))
+
+
 def simplify_decidable_atoms(f: Formula) -> Formula:
     """Strip double negations sitting directly on equations, bottom up."""
-
-    def go(n: Formula) -> Formula:
-        match n:
-            case Eq(_, _):
-                out: Formula = n
-            case And(a, b):
-                out = And(go(a), go(b))
-            case Or(a, b):
-                out = Or(go(a), go(b))
-            case Imp(a, b):
-                out = Imp(go(a), go(b))
-            case Not(a):
-                out = Not(go(a))
-            case ForallN(v, a):
-                out = ForallN(v, go(a))
-            case ExistsN(v, a):
-                out = ExistsN(v, go(a))
-            case ForallF(v, a):
-                out = ForallF(v, go(a))
-            case ExistsF(v, a):
-                out = ExistsF(v, go(a))
-            case BForallN(v, t, a):
-                out = BForallN(v, t, go(a))
-            case BExistsN(v, t, a):
-                out = BExistsN(v, t, go(a))
-            case _:
-                raise TypeError(f"not a formula: {n!r}")
-        match out:
-            case Not(Not(Eq(_, _) as atom)):
-                return atom
-            case _:
-                return out
-
-    return go(f)
+    match out := _map_subformulas(simplify_decidable_atoms, f):
+        case Not(Not(Eq(_, _) as atom)):
+            return atom
+    return out
 
 
 def repair_bi_clause1(f: Formula) -> Formula:
@@ -166,30 +129,7 @@ def repair_bi_clause1(f: Formula) -> Formula:
             ) if xv == xv2:
                 hits += 1
                 return ExistsN(xv, atom)
-            case Eq(_, _):
-                return n
-            case And(a, b):
-                return And(rw(a), rw(b))
-            case Or(a, b):
-                return Or(rw(a), rw(b))
-            case Imp(a, b):
-                return Imp(rw(a), rw(b))
-            case Not(a):
-                return Not(rw(a))
-            case ForallN(v, a):
-                return ForallN(v, rw(a))
-            case ExistsN(v, a):
-                return ExistsN(v, rw(a))
-            case ForallF(v, a):
-                return ForallF(v, rw(a))
-            case ExistsF(v, a):
-                return ExistsF(v, rw(a))
-            case BForallN(v, t, a):
-                return BForallN(v, t, rw(a))
-            case BExistsN(v, t, a):
-                return BExistsN(v, t, rw(a))
-            case _:
-                raise TypeError(f"not a formula: {n!r}")
+        return _map_subformulas(rw, n)
 
     out = rw(f)
     if hits == 0:

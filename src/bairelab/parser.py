@@ -21,6 +21,10 @@ Number variables are lower-case identifiers, function variables start with
 `@`.  Binders use maximal right scope.  `*` binds tighter than `+`; both
 associate left.  Errors carry line and column plus the tokens that would
 have allowed progress at the farthest point reached.
+
+Input nested deeper than MAX_DEPTH levels is refused with a NestingError,
+both while parsing (brackets, prefix operators, binders) and in the
+finished tree (long chains of `&` or `+`, numerals).
 """
 
 from __future__ import annotations
@@ -56,7 +60,13 @@ from .syntax import (
     Term,
     Zero,
     numeral,
+    tree_depth,
 )
+
+MAX_DEPTH = 100
+"""The deepest nesting accepted.  Every pass over syntax trees recurses a
+few frames per tree level, and the parser about five per nesting level,
+so all of them stay well inside Python's default recursion limit."""
 
 KEYWORDS = frozenset({"forall", "exists", "lam", "barof", "ext", "ap"})
 
@@ -86,6 +96,10 @@ class ParseError(BairelabError):
         if expected:
             hint = " (expected one of: " + ", ".join(sorted(expected)) + ")"
         super().__init__(f"{line}:{col}: {message}{hint}")
+
+
+class NestingError(ParseError):
+    """Input nested deeper than MAX_DEPTH levels."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +177,13 @@ class _State:
     # farthest failure bookkeeping, merged across backtracking
     fail_pos: int = -1
     fail_expected: set[str] = field(default_factory=set)
+    depth: int = 0  # nesting levels open at pos
+
+    def enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            t = self.peek()
+            raise NestingError(f"nesting deeper than {MAX_DEPTH} levels", t.line, t.col)
 
     def peek(self, k: int = 0) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
@@ -197,40 +218,39 @@ class _State:
 
 
 def parse_formula(src: str) -> Formula:
-    st = _State(tokenize(src))
-    f = _imp(st)
-    if not st.at("EOF"):
-        st.want("EOF")
-        raise st.error()
-    return f
+    return _parse(src, _imp)
 
 
 def parse_term(src: str) -> Term:
-    st = _State(tokenize(src))
-    t = _term(st)
-    if not st.at("EOF"):
-        st.want("EOF")
-        raise st.error()
-    return t
+    return _parse(src, _term)
 
 
 def parse_functor(src: str) -> Functor:
+    return _parse(src, _functor)
+
+
+def _parse(src: str, production):
     st = _State(tokenize(src))
-    f = _functor(st)
+    node = production(st)
     if not st.at("EOF"):
         st.want("EOF")
         raise st.error()
-    return f
+    depth = tree_depth(node)
+    if depth > MAX_DEPTH:
+        raise NestingError(f"syntax tree nests {depth} levels deep; the limit is {MAX_DEPTH}", 1, 1)
+    return node
 
 
 # -- formulas ---------------------------------------------------------------
 
 
 def _imp(st: _State) -> Formula:
-    left = _or(st)
+    st.enter()
+    f = _or(st)
     if st.eat("ARROW"):
-        return Imp(left, _imp(st))
-    return left
+        f = Imp(f, _imp(st))
+    st.depth -= 1
+    return f
 
 
 def _or(st: _State) -> Formula:
@@ -249,7 +269,10 @@ def _and(st: _State) -> Formula:
 
 def _neg(st: _State) -> Formula:
     if st.eat("NOT"):
-        return Not(_neg(st))
+        st.enter()
+        f = Not(_neg(st))
+        st.depth -= 1
+        return f
     if st.at("FORALL") or st.at("EXISTS"):
         return _quant(st)
     return _atom(st)
@@ -281,14 +304,16 @@ def _atom(st: _State) -> Formula:
     if st.at("LPAR"):
         # both a parenthesized formula and a parenthesized left term start
         # here; try the formula reading first and fall back
-        mark = st.pos
+        mark = st.pos, st.depth
         st.take("LPAR")
         try:
             f = _imp(st)
             st.take("RPAR")
             return f
+        except NestingError:
+            raise
         except ParseError:
-            st.pos = mark
+            st.pos, st.depth = mark
         t = _term(st)
         st.take("EQ")
         return Eq(t, _term(st))
@@ -301,9 +326,11 @@ def _atom(st: _State) -> Formula:
 
 
 def _term(st: _State) -> Term:
+    st.enter()
     t = _factor(st)
     while st.eat("PLUS"):
         t = Add(t, _factor(st))
+    st.depth -= 1
     return t
 
 
@@ -311,11 +338,13 @@ def _factor(st: _State) -> Term:
     # pairing sugar: 2^a * 3^b, recognized by lookahead before plain products
     t: Term | None = None
     if st.at("NUM") and st.peek().text == "2" and st.peek(1).kind == "CARET":
-        mark = st.pos
+        mark = st.pos, st.depth
         try:
             t = _pair(st)
+        except NestingError:
+            raise
         except ParseError:
-            st.pos = mark
+            st.pos, st.depth = mark
     if t is None:
         t = _prim(st)
     while st.eat("STAR"):
@@ -342,6 +371,8 @@ def _prim(st: _State) -> Term:
     match t.kind:
         case "NUM":
             st.take("NUM")
+            if len(t.text) > len(str(MAX_DEPTH)) or int(t.text) >= MAX_DEPTH:
+                raise NestingError(f"numeral nests deeper than {MAX_DEPTH} levels", t.line, t.col)
             return numeral(int(t.text))
         case "SUCC":
             st.take("SUCC")
@@ -376,14 +407,16 @@ def _prim(st: _State) -> Term:
             return Apply(f, arg)
         case "LPAR":
             # a lambda functor also opens with '(': try a plain term first
-            mark = st.pos
+            mark = st.pos, st.depth
             st.take("LPAR")
             try:
                 inner = _term(st)
                 st.take("RPAR")
                 return inner
+            except NestingError:
+                raise
             except ParseError:
-                st.pos = mark
+                st.pos, st.depth = mark
             f = _functor(st)
             st.take("LPAR")
             arg = _term(st)
@@ -398,11 +431,12 @@ def _prim(st: _State) -> Term:
 
 
 def _functor(st: _State) -> Functor:
+    st.enter()
     t = st.peek()
     match t.kind:
         case "FVAR":
             st.take("FVAR")
-            return FnVar(t.text)
+            f: Functor = FnVar(t.text)
         case "AP":
             st.take("AP")
             st.take("LPAR")
@@ -410,17 +444,18 @@ def _functor(st: _State) -> Functor:
             st.take("COMMA")
             g = _functor(st)
             st.take("RPAR")
-            return ContApply(f, g)
+            f = ContApply(f, g)
         case "LAM":
-            return _lambda_tail(st)
+            f = _lambda_tail(st)
         case "LPAR":
             st.take("LPAR")
             f = _functor(st)
             st.take("RPAR")
-            return f
         case _:
             st.want("FVAR", "LAM", "AP", "LPAR")
             raise st.error()
+    st.depth -= 1
+    return f
 
 
 def _lambda_tail(st: _State) -> Functor:

@@ -37,11 +37,15 @@ from .syntax import (
     Succ,
     Term,
     Zero,
+    binds,
+    children,
     numeral_value,
 )
 
 # connective precedence, loose to tight
 _IMP, _OR, _AND, _NOT = 1, 2, 3, 4
+# binary connective -> (symbol, precedence of its left and right operand)
+_BINARY = {Imp: ("->", _IMP + 1, _IMP), Or: ("|", _OR, _OR + 1), And: ("&", _AND, _AND + 1)}
 
 
 def format_term(t: Term) -> str:
@@ -103,21 +107,9 @@ def _fn(f: Functor) -> str:
 
 
 def _quant_str(f: Formula, rightmost: bool) -> str:
-    match f:
-        case ForallN(v, body):
-            s = f"forall {v}. {_fm(body, 0, True)}"
-        case ExistsN(v, body):
-            s = f"exists {v}. {_fm(body, 0, True)}"
-        case ForallF(v, body):
-            s = f"forall {v}. {_fm(body, 0, True)}"
-        case ExistsF(v, body):
-            s = f"exists {v}. {_fm(body, 0, True)}"
-        case BForallN(v, bound, body):
-            s = f"forall {v} < {_tm(bound, 0)}. {_fm(body, 0, True)}"
-        case BExistsN(v, bound, body):
-            s = f"exists {v} < {_tm(bound, 0)}. {_fm(body, 0, True)}"
-        case _:
-            raise TypeError(f"not a quantifier: {f!r}")
+    word = "forall" if isinstance(f, (ForallN, ForallF, BForallN)) else "exists"
+    bound = f" < {_tm(f.bound, 0)}" if isinstance(f, (BForallN, BExistsN)) else ""
+    s = f"{word} {f.var}{bound}. {_fm(f.body, 0, True)}"
     return s if rightmost else f"({s})"
 
 
@@ -125,72 +117,52 @@ def _fm(f: Formula, prec: int, rightmost: bool) -> str:
     match f:
         case Eq(a, b):
             return f"{_tm(a, 0)} = {_tm(b, 0)}"
-        case Imp(a, b):
-            wrap = prec > _IMP
-            s = f"{_fm(a, _IMP + 1, False)} -> {_fm(b, _IMP, rightmost or wrap)}"
-            return f"({s})" if wrap else s
-        case Or(a, b):
-            wrap = prec > _OR
-            s = f"{_fm(a, _OR, False)} | {_fm(b, _OR + 1, rightmost or wrap)}"
-            return f"({s})" if wrap else s
-        case And(a, b):
-            wrap = prec > _AND
-            s = f"{_fm(a, _AND, False)} & {_fm(b, _AND + 1, rightmost or wrap)}"
+        case Imp(a, b) | Or(a, b) | And(a, b):
+            op, left, right = _BINARY[type(f)]
+            wrap = prec > min(left, right)
+            s = f"{_fm(a, left, False)} {op} {_fm(b, right, rightmost or wrap)}"
             return f"({s})" if wrap else s
         case Not(body):
             if isinstance(body, Eq):
                 return f"~({_fm(body, 0, True)})"
             return f"~{_fm(body, _NOT, rightmost)}"
-        case ForallN(_, _) | ExistsN(_, _) | ForallF(_, _) | ExistsF(_, _) | BForallN(
-            _, _, _
-        ) | BExistsN(_, _, _):
+        case ForallN() | ExistsN() | ForallF() | ExistsF() | BForallN() | BExistsN():
             return _quant_str(f, rightmost)
         case _:
             raise TypeError(f"not a formula: {f!r}")
 
 
+# s-expression head of each inner node; a binder's variable follows it
+_SEXPR_HEADS = {
+    Succ: "S",
+    Add: "+",
+    Mul: "*",
+    Pair: "pair",
+    SeqExt: "ext",
+    PrefixCode: "barof",
+    Apply: "app",
+    Lambda: "lam",
+    ContApply: "ap",
+    Eq: "=",
+    And: "and",
+    Or: "or",
+    Imp: "->",
+    Not: "not",
+    ForallN: "forall",
+    ForallF: "forall",
+    ExistsN: "exists",
+    ExistsF: "exists",
+    BForallN: "forall<",
+    BExistsN: "exists<",
+}
+
+
 def to_sexpr(node: Node) -> str:
     """A compact s-expression rendering for machine consumption."""
-    match node:
-        case Zero():
-            return "0"
-        case Succ(a):
-            return f"(S {to_sexpr(a)})"
-        case NumVar(name) | FnVar(name):
-            return name
-        case Add(a, b):
-            return f"(+ {to_sexpr(a)} {to_sexpr(b)})"
-        case Mul(a, b):
-            return f"(* {to_sexpr(a)} {to_sexpr(b)})"
-        case Pair(a, b):
-            return f"(pair {to_sexpr(a)} {to_sexpr(b)})"
-        case SeqExt(a, b):
-            return f"(ext {to_sexpr(a)} {to_sexpr(b)})"
-        case PrefixCode(a, b):
-            return f"(barof {to_sexpr(a)} {to_sexpr(b)})"
-        case Apply(a, b):
-            return f"(app {to_sexpr(a)} {to_sexpr(b)})"
-        case Lambda(v, body):
-            return f"(lam {v} {to_sexpr(body)})"
-        case ContApply(a, b):
-            return f"(ap {to_sexpr(a)} {to_sexpr(b)})"
-        case Eq(a, b):
-            return f"(= {to_sexpr(a)} {to_sexpr(b)})"
-        case And(a, b):
-            return f"(and {to_sexpr(a)} {to_sexpr(b)})"
-        case Or(a, b):
-            return f"(or {to_sexpr(a)} {to_sexpr(b)})"
-        case Imp(a, b):
-            return f"(-> {to_sexpr(a)} {to_sexpr(b)})"
-        case Not(a):
-            return f"(not {to_sexpr(a)})"
-        case ForallN(v, body) | ForallF(v, body):
-            return f"(forall {v} {to_sexpr(body)})"
-        case ExistsN(v, body) | ExistsF(v, body):
-            return f"(exists {v} {to_sexpr(body)})"
-        case BForallN(v, bound, body):
-            return f"(forall< {v} {to_sexpr(bound)} {to_sexpr(body)})"
-        case BExistsN(v, bound, body):
-            return f"(exists< {v} {to_sexpr(bound)} {to_sexpr(body)})"
-        case _:
-            raise TypeError(f"unknown node: {node!r}")
+    kids = children(node)
+    if not kids:
+        return "0" if isinstance(node, Zero) else node.name
+    head = _SEXPR_HEADS[type(node)]
+    if binds(node) is not None:
+        head = f"{head} {node.var}"
+    return f"({head} {' '.join(map(to_sexpr, kids))})"

@@ -52,6 +52,7 @@ from .syntax import (
     Succ,
     Term,
     Zero,
+    _fresh,
     check_fun_name,
     free_vars,
     numeral,
@@ -512,13 +513,6 @@ def realizes_transform(f: Formula, eps: str) -> Formula:
     if eps in funs:
         raise FreshnessError(f"{eps} occurs free in the formula")
     return _tr(FnVar(eps), f, funs | {eps})
-
-
-def _fresh(base: str, avoid: frozenset[str]) -> str:
-    name = base
-    while name in avoid:
-        name += "'"
-    return name
 
 
 def _proj(e: Functor, i: int) -> Functor:

@@ -17,8 +17,6 @@ from .errors import BairelabError
 from .syntax import (
     And,
     Apply,
-    BExistsN,
-    BForallN,
     Eq,
     ExistsF,
     ExistsN,
@@ -36,8 +34,10 @@ from .syntax import (
     SeqExt,
     Succ,
     Zero,
+    _fresh,
     check_fun_name,
     check_num_name,
+    children,
     free_vars,
     numeral,
     subst_fun,
@@ -140,53 +140,28 @@ def theory_schemas(name: str) -> TheoryInfo:
 Binding = dict[str, "str | NumVar | FnVar | Formula"]
 
 
-def _as_num_name(value: str | NumVar, role: str) -> str:
-    if isinstance(value, NumVar):
+def _as_name(value: str | NumVar | FnVar, role: str, default: str) -> str:
+    """The variable name bound to a role, of the sort of its default."""
+    fun = default.startswith("@")
+    if isinstance(value, FnVar if fun else NumVar):
         return value.name
     if isinstance(value, str):
-        return check_num_name(value)
-    raise SchemaError(f"binding for {role!r} must be a number variable")
+        return check_fun_name(value) if fun else check_num_name(value)
+    raise SchemaError(f"binding for {role!r} must be a {'function' if fun else 'number'} variable")
 
 
-def _as_fun_name(value: str | FnVar, role: str) -> str:
-    if isinstance(value, FnVar):
-        return value.name
-    if isinstance(value, str):
-        return check_fun_name(value)
-    raise SchemaError(f"binding for {role!r} must be a function variable")
+def _designated(binding: Binding, role: str, default: str) -> str:
+    return _as_name(binding.get(role, default), role, default)
 
 
-def _designated_num(binding: Binding, role: str, default: str) -> str:
-    return _as_num_name(binding.get(role, default), role)
-
-
-def _designated_fun(binding: Binding, role: str, default: str) -> str:
-    return _as_fun_name(binding.get(role, default), role)
-
-
-def _fresh_num(binding: Binding, role: str, default: str, taboo: frozenset[str]) -> str:
+def _fresh_var(binding: Binding, role: str, default: str, taboo: frozenset[str]) -> str:
+    """A caller-given name must already be fresh; the default is freshened."""
     given = binding.get(role)
-    if given is not None:
-        name = _as_num_name(given, role)
-        if name in taboo:
-            raise FreshnessError(f"{role} variable {name!r} is not fresh here")
-        return name
-    name = default
-    while name in taboo:
-        name += "'"
-    return name
-
-
-def _fresh_fun(binding: Binding, role: str, default: str, taboo: frozenset[str]) -> str:
-    given = binding.get(role)
-    if given is not None:
-        name = _as_fun_name(given, role)
-        if name in taboo:
-            raise FreshnessError(f"{role} variable {name!r} is not fresh here")
-        return name
-    name = default
-    while name in taboo:
-        name += "'"
+    if given is None:
+        return _fresh(default, taboo)
+    name = _as_name(given, role, default)
+    if name in taboo:
+        raise FreshnessError(f"{role} variable {name!r} is not fresh here")
     return name
 
 
@@ -215,19 +190,11 @@ def is_qf_admissible(f: Formula) -> bool:
 
     Bounded numerical quantifiers and free parameters of either sort pass.
     """
-    match f:
-        case Eq(_, _):
-            return True
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            return is_qf_admissible(a) and is_qf_admissible(b)
-        case Not(a):
-            return is_qf_admissible(a)
-        case BForallN(_, _, body) | BExistsN(_, _, body):
-            return is_qf_admissible(body)
-        case ForallN(_, _) | ExistsN(_, _) | ForallF(_, _) | ExistsF(_, _):
-            return False
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (ForallN, ExistsN, ForallF, ExistsF)):
+        return False
+    return all(is_qf_admissible(k) for k in children(f) if isinstance(k, Formula))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +238,13 @@ def instantiate(kind: SchemaKind, body: Formula | None = None, binding: Binding 
 
 def _choice_numbers(kind: SchemaKind, a: Formula, b: Binding, unique: bool = False) -> Formula:
     an, af = free_vars(a)
-    x = _designated_num(b, "x", "x")
-    y = _designated_num(b, "y", "y")
-    beta = _fresh_fun(b, "choice", "@b", af)
+    x = _designated(b, "x", "x")
+    y = _designated(b, "y", "y")
+    beta = _fresh_var(b, "choice", "@b", af)
     if unique:
         taboo = an | {x, y}
-        u = _fresh_num(b, "u", "u", taboo)
-        v = _fresh_num(b, "v", "v", taboo | {u})
-        if u == v:
-            raise FreshnessError("uniqueness witnesses must be distinct")
+        u = _fresh_var(b, "u", "u", taboo)
+        v = _fresh_var(b, "v", "v", taboo | {u})
         hyp = ForallN(x, exists_unique(y, a, u, v))
     else:
         hyp = ForallN(x, ExistsN(y, a))
@@ -289,10 +254,10 @@ def _choice_numbers(kind: SchemaKind, a: Formula, b: Binding, unique: bool = Fal
 
 def _choice_functions(a: Formula, b: Binding) -> Formula:
     an, af = free_vars(a)
-    x = _designated_num(b, "x", "x")
-    alpha = _designated_fun(b, "alpha", "@a")
-    beta = _fresh_fun(b, "choice", "@b", af)
-    y = _fresh_num(b, "y", "y", an | {x})
+    x = _designated(b, "x", "x")
+    alpha = _designated(b, "alpha", "@a")
+    beta = _fresh_var(b, "choice", "@b", af)
+    y = _fresh_var(b, "y", "y", an | {x})
     hyp = ForallN(x, ExistsF(alpha, a))
     chooser = Lambda(y, Apply(FnVar(beta), Pair(NumVar(x), NumVar(y))))
     concl = ExistsF(beta, ForallN(x, subst_fun(a, alpha, chooser)))
@@ -300,16 +265,16 @@ def _choice_functions(a: Formula, b: Binding) -> Formula:
 
 
 def _induction(a: Formula, b: Binding) -> Formula:
-    x = _designated_num(b, "x", "x")
+    x = _designated(b, "x", "x")
     base = subst_num(a, x, Zero())
     step = ForallN(x, Imp(a, subst_num(a, x, Succ(NumVar(x)))))
     return Imp(And(base, step), ForallN(x, a))
 
 
 def _open_eq(b: Binding) -> Formula:
-    x = _designated_num(b, "x", "x")
-    y = _designated_num(b, "y", "y")
-    alpha = _designated_fun(b, "alpha", "@a")
+    x = _designated(b, "x", "x")
+    y = _designated(b, "y", "y")
+    alpha = _designated(b, "alpha", "@a")
     fx = Apply(FnVar(alpha), NumVar(x))
     fy = Apply(FnVar(alpha), NumVar(y))
     return Imp(Eq(NumVar(x), NumVar(y)), Eq(fx, fy))
@@ -317,15 +282,15 @@ def _open_eq(b: Binding) -> Formula:
 
 def _bar_induction(a: Formula, b: Binding, bar_given: str) -> Formula:
     an, af = free_vars(a)
-    w = _designated_num(b, "w", "w")
+    w = _designated(b, "w", "w")
 
     if bar_given == "real":
-        rho = _designated_fun(b, "rho", "@r")
+        rho = _designated(b, "rho", "@r")
         r = Eq(Apply(FnVar(rho), NumVar(w)), Zero())
     else:
         given = b.get("bar")
         if given is None:
-            rho = _designated_fun(b, "rho", "@r")
+            rho = _designated(b, "rho", "@r")
             r = Eq(Apply(FnVar(rho), NumVar(w)), Zero())
         elif isinstance(given, Formula):
             r = given
@@ -333,17 +298,15 @@ def _bar_induction(a: Formula, b: Binding, bar_given: str) -> Formula:
             raise SchemaError("binding for 'bar' must be a formula over the path variable")
 
     rn, rf = free_vars(r)
-    alpha = _fresh_fun(b, "alpha", "@a", rf)
-    x = _fresh_num(b, "x", "x", rn | {w})
-    n = _fresh_num(b, "n", "n", an | {w})
+    alpha = _fresh_var(b, "alpha", "@a", rf)
+    x = _fresh_var(b, "x", "x", rn | {w})
+    n = _fresh_var(b, "n", "n", an | {w})
 
     hit = subst_num(r, w, PrefixCode(FnVar(alpha), NumVar(x)))
     if bar_given == "unique":
         taboo = rn | {w, x}
-        u = _fresh_num(b, "u", "u", taboo)
-        v = _fresh_num(b, "v", "v", taboo | {u})
-        if u == v:
-            raise FreshnessError("uniqueness witnesses must be distinct")
+        u = _fresh_var(b, "u", "u", taboo)
+        v = _fresh_var(b, "v", "v", taboo | {u})
         h_bar = ForallF(alpha, exists_unique(x, hit, u, v))
         hyps = [h_bar]
     elif bar_given == "formula":
@@ -364,15 +327,15 @@ def _bar_induction(a: Formula, b: Binding, bar_given: str) -> Formula:
 
 
 def _markov(b: Binding) -> Formula:
-    alpha = _designated_fun(b, "alpha", "@a")
-    x = _designated_num(b, "x", "x")
+    alpha = _designated(b, "alpha", "@a")
+    x = _designated(b, "x", "x")
     zero_hit = ExistsN(x, Eq(Apply(FnVar(alpha), NumVar(x)), Zero()))
     return ForallF(alpha, Imp(Not(Not(zero_hit)), zero_hit))
 
 
 def _dns(b: Binding) -> Formula:
-    rho = _designated_fun(b, "rho", "@r")
-    alpha = _fresh_fun(b, "alpha", "@a", frozenset({rho}))
-    x = _designated_num(b, "x", "x")
+    rho = _designated(b, "rho", "@r")
+    alpha = _fresh_var(b, "alpha", "@a", frozenset({rho}))
+    x = _designated(b, "x", "x")
     inner = ExistsN(x, Eq(Apply(FnVar(rho), PrefixCode(FnVar(alpha), NumVar(x))), Zero()))
     return Imp(ForallF(alpha, Not(Not(inner))), Not(Not(ForallF(alpha, inner))))

@@ -2,19 +2,37 @@
 
 The language talks about natural numbers and one-place number functions
 (points of Baire space).  Lower-case identifiers are number variables,
-`@`-prefixed identifiers range over functions.
+`@`-prefixed identifiers range over functions, so a name alone tells its
+sort and names of the two sorts never clash.
 
 Terms, functors and formulas are immutable dataclasses, so syntax trees can
 be hashed, cached and compared structurally.  Substitution is
 capture-avoiding; bound variables are renamed with trailing apostrophes when
 a clash forces it.
+
+Every pass that only recurses through the tree is written once against one
+table, `_SHAPES`, which gives each of the 23 node classes its child fields
+and, for a binder, the sort of the variable it binds:
+
+- `children(node)` is the tuple of child nodes in field order.  `Zero` and
+  the variables have none; a binder's `var` is a name, not a child.
+- A binder scopes over its last child only: the bound of `BForallN` and
+  `BExistsN` lies outside the scope.  `binds(node)` is the sort it binds,
+  None for any other node.
+- `rebuild(node, kids, var=None)` is a node of the same class with `kids`
+  as children, binding `var` if given, else its old variable, so
+  `rebuild(n, children(n)) == n`.  A leaf comes back as it is.
+
+A node class missing from the table makes these raise TypeError.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .errors import BairelabError
 
@@ -42,6 +60,16 @@ def check_fun_name(name: str) -> str:
 class Sort(Enum):
     NUM = "num"
     FUN = "fun"
+
+
+class _Binder:
+    """Checks a binder's variable against the sort `_SHAPES` gives it."""
+
+    def __post_init__(self) -> None:
+        if _SHAPES[type(self)][1] is Sort.NUM:
+            check_num_name(self.var)
+        else:
+            check_fun_name(self.var)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +161,9 @@ class FnVar(Functor):
 
 
 @dataclass(frozen=True)
-class Lambda(Functor):
+class Lambda(_Binder, Functor):
     var: str
     body: Term
-
-    def __post_init__(self) -> None:
-        check_num_name(self.var)
 
 
 @dataclass(frozen=True)
@@ -192,61 +217,43 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class ForallN(Formula):
+class ForallN(_Binder, Formula):
     var: str
     body: Formula
 
-    def __post_init__(self) -> None:
-        check_num_name(self.var)
-
 
 @dataclass(frozen=True)
-class ExistsN(Formula):
+class ExistsN(_Binder, Formula):
     var: str
     body: Formula
 
-    def __post_init__(self) -> None:
-        check_num_name(self.var)
-
 
 @dataclass(frozen=True)
-class ForallF(Formula):
+class ForallF(_Binder, Formula):
     var: str
     body: Formula
 
-    def __post_init__(self) -> None:
-        check_fun_name(self.var)
-
 
 @dataclass(frozen=True)
-class ExistsF(Formula):
+class ExistsF(_Binder, Formula):
     var: str
     body: Formula
 
-    def __post_init__(self) -> None:
-        check_fun_name(self.var)
-
 
 @dataclass(frozen=True)
-class BForallN(Formula):
+class BForallN(_Binder, Formula):
     """Number quantifier bounded by a term: forall var < bound. body."""
 
     var: str
     bound: Term
     body: Formula
 
-    def __post_init__(self) -> None:
-        check_num_name(self.var)
-
 
 @dataclass(frozen=True)
-class BExistsN(Formula):
+class BExistsN(_Binder, Formula):
     var: str
     bound: Term
     body: Formula
-
-    def __post_init__(self) -> None:
-        check_num_name(self.var)
 
 
 # ---------------------------------------------------------------------------
@@ -272,62 +279,128 @@ def numeral_value(t: Term) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# traversal
 
 Node = Term | Functor | Formula
+
+# class -> (child fields in order, sort bound in the last child or None)
+_SHAPES: dict[type, tuple[tuple[str, ...], Sort | None]] = {
+    Zero: ((), None),
+    Succ: (("arg",), None),
+    NumVar: ((), None),
+    Add: (("left", "right"), None),
+    Mul: (("left", "right"), None),
+    Apply: (("fn", "arg"), None),
+    Pair: (("left", "right"), None),
+    SeqExt: (("seq", "item"), None),
+    PrefixCode: (("fn", "length"), None),
+    FnVar: ((), None),
+    Lambda: (("body",), Sort.NUM),
+    ContApply: (("fn", "arg"), None),
+    Eq: (("left", "right"), None),
+    And: (("left", "right"), None),
+    Or: (("left", "right"), None),
+    Imp: (("left", "right"), None),
+    Not: (("body",), None),
+    ForallN: (("body",), Sort.NUM),
+    ExistsN: (("body",), Sort.NUM),
+    ForallF: (("body",), Sort.FUN),
+    ExistsF: (("body",), Sort.FUN),
+    BForallN: (("bound", "body"), Sort.NUM),
+    BExistsN: (("bound", "body"), Sort.NUM),
+}
+
+_VARS = (NumVar, FnVar)
+
+
+def _getter(fields: tuple[str, ...]):
+    """node -> tuple of its `fields`, in C where attrgetter allows."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(*fields)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+_CHILDREN = {cls: _getter(fields) for cls, (fields, _) in _SHAPES.items()}
+
+
+def _shape(node: Node) -> tuple[tuple[str, ...], Sort | None]:
+    try:
+        return _SHAPES[type(node)]
+    except KeyError:
+        raise TypeError(f"unknown node: {node!r}") from None
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    """The child nodes in field order; a binder's scope is its last child."""
+    try:
+        get = _CHILDREN[type(node)]
+    except KeyError:
+        raise TypeError(f"unknown node: {node!r}") from None
+    return get(node)
+
+
+def binds(node: Node) -> Sort | None:
+    """The sort of the variable a binder binds, or None for other nodes."""
+    return _shape(node)[1]
+
+
+def rebuild(node: Node, kids: tuple[Node, ...], var: str | None = None) -> Node:
+    """A node of the same class with `kids` as children; a binder binds
+    `var` if given, else its old variable.  Leaves come back unchanged."""
+    fields, sort = _shape(node)
+    if not fields:
+        return node
+    if sort is None:
+        return type(node)(*kids)
+    return type(node)(node.var if var is None else var, *kids)
+
+
+def tree_depth(node: Node) -> int:
+    """Levels in the tree, 1 for a leaf; counted level by level, without
+    recursion, so it is safe on trees of any depth."""
+    level, depth = [node], 0
+    while level:
+        depth += 1
+        level = [k for n in level for k in children(n)]
+    return depth
+
+
+def _var(name: str) -> NumVar | FnVar:
+    return FnVar(name) if name.startswith("@") else NumVar(name)
+
+
+# ---------------------------------------------------------------------------
+# free variables
+
+
+def _free_names(node: Node) -> set[str]:
+    """Free variable names of both sorts (the `@` tells them apart)."""
+    out: set[str] = set()
+
+    def walk(n: Node, bound: frozenset[str]) -> None:
+        if isinstance(n, _VARS):
+            if n.name not in bound:
+                out.add(n.name)
+            return
+        kids = children(n)
+        if binds(n) is not None:
+            *kids, body = kids
+            walk(body, bound | {n.var})
+        for k in kids:
+            walk(k, bound)
+
+    walk(node, frozenset())
+    return out
 
 
 def free_vars(node: Node) -> tuple[frozenset[str], frozenset[str]]:
     """Free (number, function) variable names of any syntax node."""
-    nums: set[str] = set()
-    funs: set[str] = set()
-
-    def walk(n: Node, bn: frozenset[str], bf: frozenset[str]) -> None:
-        match n:
-            case Zero():
-                pass
-            case Succ(a):
-                walk(a, bn, bf)
-            case NumVar(name):
-                if name not in bn:
-                    nums.add(name)
-            case Add(a, b) | Mul(a, b) | Pair(a, b) | SeqExt(a, b):
-                walk(a, bn, bf)
-                walk(b, bn, bf)
-            case Apply(f, a):
-                walk(f, bn, bf)
-                walk(a, bn, bf)
-            case PrefixCode(f, t):
-                walk(f, bn, bf)
-                walk(t, bn, bf)
-            case FnVar(name):
-                if name not in bf:
-                    funs.add(name)
-            case Lambda(v, body):
-                walk(body, bn | {v}, bf)
-            case ContApply(f, g):
-                walk(f, bn, bf)
-                walk(g, bn, bf)
-            case Eq(a, b):
-                walk(a, bn, bf)
-                walk(b, bn, bf)
-            case And(a, b) | Or(a, b) | Imp(a, b):
-                walk(a, bn, bf)
-                walk(b, bn, bf)
-            case Not(a):
-                walk(a, bn, bf)
-            case ForallN(v, body) | ExistsN(v, body):
-                walk(body, bn | {v}, bf)
-            case ForallF(v, body) | ExistsF(v, body):
-                walk(body, bn, bf | {v})
-            case BForallN(v, bound, body) | BExistsN(v, bound, body):
-                walk(bound, bn, bf)
-                walk(body, bn | {v}, bf)
-            case _:
-                raise TypeError(f"unknown node: {n!r}")
-
-    walk(node, frozenset(), frozenset())
-    return frozenset(nums), frozenset(funs)
+    names = _free_names(node)
+    funs = frozenset(n for n in names if n.startswith("@"))
+    return frozenset(names) - funs, funs
 
 
 def _fresh(base: str, avoid: frozenset[str]) -> str:
@@ -341,128 +414,56 @@ def _fresh(base: str, avoid: frozenset[str]) -> str:
 # substitution
 #
 # One engine serves all three public entry points.  env maps variable names
-# (number names plain, function names with the @) to replacement nodes.
+# (number names plain, function names with the @) to replacement nodes;
+# avoid holds the names a renamed binder must dodge.
 
 
-def _subst(node: Node, env: dict[str, Node], avoid_n: frozenset[str], avoid_f: frozenset[str]) -> Node:
+def _subst(node: Node, env: dict[str, Node], avoid: frozenset[str]) -> Node:
     if not env:
         return node
-
-    def rebind_num(v: str, body: Formula | Term, wrap) -> Node:
-        bn, bf = free_vars(body)
-        inner = {k: x for k, x in env.items() if k != v and (k in bn or k in bf)}
-        # capture: the binder's own variable is free in a replacement that applies
-        captured = any(v in free_vars(x)[0] for x in inner.values())
-        if captured:
-            v2 = _fresh(v, avoid_n | _ranging_names(inner)[0] | bn | {v})
-            body = _subst(body, {v: NumVar(v2)}, frozenset({v2}), frozenset())
-            v = v2
-        if inner:
-            body = _subst(body, inner, avoid_n | {v}, avoid_f)
-        return wrap(v, body)
-
-    def rebind_fun(v: str, body: Formula, wrap) -> Node:
-        bn, bf = free_vars(body)
-        inner = {k: x for k, x in env.items() if k != v and (k in bn or k in bf)}
-        captured = any(v in free_vars(x)[1] for x in inner.values())
-        if captured:
-            v2 = _fresh(v, avoid_f | _ranging_names(inner)[1] | bf | {v})
-            body = _subst(body, {v: FnVar(v2)}, frozenset(), frozenset({v2}))
-            v = v2
-        if inner:
-            body = _subst(body, inner, avoid_n, avoid_f | {v})
-        return wrap(v, body)
-
-    match node:
-        case Zero():
-            return node
-        case Succ(a):
-            return Succ(_subst(a, env, avoid_n, avoid_f))
-        case NumVar(name):
-            return env.get(name, node)
-        case Add(a, b):
-            return Add(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Mul(a, b):
-            return Mul(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Pair(a, b):
-            return Pair(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case SeqExt(a, b):
-            return SeqExt(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Apply(f, a):
-            return Apply(_subst(f, env, avoid_n, avoid_f), _subst(a, env, avoid_n, avoid_f))
-        case PrefixCode(f, t):
-            return PrefixCode(_subst(f, env, avoid_n, avoid_f), _subst(t, env, avoid_n, avoid_f))
-        case FnVar(name):
-            return env.get(name, node)
-        case Lambda(v, body):
-            return rebind_num(v, body, Lambda)
-        case ContApply(f, g):
-            return ContApply(_subst(f, env, avoid_n, avoid_f), _subst(g, env, avoid_n, avoid_f))
-        case Eq(a, b):
-            return Eq(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case And(a, b):
-            return And(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Or(a, b):
-            return Or(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Imp(a, b):
-            return Imp(_subst(a, env, avoid_n, avoid_f), _subst(b, env, avoid_n, avoid_f))
-        case Not(a):
-            return Not(_subst(a, env, avoid_n, avoid_f))
-        case ForallN(v, body):
-            return rebind_num(v, body, ForallN)
-        case ExistsN(v, body):
-            return rebind_num(v, body, ExistsN)
-        case ForallF(v, body):
-            return rebind_fun(v, body, ForallF)
-        case ExistsF(v, body):
-            return rebind_fun(v, body, ExistsF)
-        case BForallN(v, bound, body):
-            bound2 = _subst(bound, env, avoid_n, avoid_f)
-            return rebind_num(v, body, lambda v2, b2: BForallN(v2, bound2, b2))
-        case BExistsN(v, bound, body):
-            bound2 = _subst(bound, env, avoid_n, avoid_f)
-            return rebind_num(v, body, lambda v2, b2: BExistsN(v2, bound2, b2))
-        case _:
-            raise TypeError(f"unknown node: {node!r}")
+    if isinstance(node, _VARS):
+        return env.get(node.name, node)
+    kids = children(node)
+    if binds(node) is None:
+        return rebuild(node, tuple([_subst(k, env, avoid) for k in kids]))
+    *outer, body = kids
+    outer = [_subst(k, env, avoid) for k in outer]
+    v = node.var
+    free = _free_names(body)
+    inner = {k: x for k, x in env.items() if k != v and k in free}
+    # capture: the binder's own variable is free in a replacement that applies
+    if any(v in _free_names(x) for x in inner.values()):
+        v2 = _fresh(v, avoid | _ranging_names(inner) | free | {v})
+        body = _subst(body, {v: _var(v2)}, frozenset({v2}))
+        v = v2
+    if inner:
+        body = _subst(body, inner, avoid | {v})
+    return rebuild(node, (*outer, body), v)
 
 
-def _ranging_names(env: dict[str, Node]) -> tuple[frozenset[str], frozenset[str]]:
-    ns: set[str] = set()
-    fs: set[str] = set()
-    for x in env.values():
-        a, b = free_vars(x)
-        ns |= a
-        fs |= b
-    return frozenset(ns), frozenset(fs)
+def _ranging_names(env: dict[str, Node]) -> frozenset[str]:
+    return frozenset().union(*map(_free_names, env.values()))
 
 
 def subst_num(node: Node, var: str, replacement: Term) -> Node:
     """Substitute a term for a free number variable, avoiding capture."""
     check_num_name(var)
-    an, af = free_vars(replacement)
-    return _subst(node, {var: replacement}, an, af)
+    return _subst(node, {var: replacement}, frozenset(_free_names(replacement)))
 
 
 def subst_fun(node: Node, var: str, replacement: Functor) -> Node:
     """Substitute a functor for a free function variable, avoiding capture."""
     check_fun_name(var)
-    an, af = free_vars(replacement)
-    return _subst(node, {var: replacement}, an, af)
+    return _subst(node, {var: replacement}, frozenset(_free_names(replacement)))
 
 
 def subst_term(node: Node, mapping: dict[str, Node]) -> Node:
     """Simultaneous substitution; keys are variable names of either sort."""
     for k, v in mapping.items():
-        if k.startswith("@"):
-            check_fun_name(k)
-            if not isinstance(v, Functor):
-                raise SortError(f"{k} must map to a functor")
-        else:
-            check_num_name(k)
-            if not isinstance(v, Term):
-                raise SortError(f"{k} must map to a term")
-    an, af = _ranging_names(mapping)
-    return _subst(node, dict(mapping), an, af)
+        fun = isinstance(_var(k), FnVar)  # checks the name, too
+        if not isinstance(v, Functor if fun else Term):
+            raise SortError(f"{k} must map to a {'functor' if fun else 'term'}")
+    return _subst(node, dict(mapping), _ranging_names(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -475,45 +476,15 @@ def alpha_eq(a: Node, b: Node) -> bool:
     def go(x: Node, y: Node, ex: dict[str, str], ey: dict[str, str], d: int) -> bool:
         if type(x) is not type(y):
             return False
-        match x, y:
-            case Zero(), Zero():
-                return True
-            case Succ(a1), Succ(a2):
-                return go(a1, a2, ex, ey, d)
-            case NumVar(n1), NumVar(n2):
-                return ex.get(n1, n1) == ey.get(n2, n2)
-            case FnVar(n1), FnVar(n2):
-                return ex.get(n1, n1) == ey.get(n2, n2)
-            case (Add(a1, b1), Add(a2, b2)) | (Mul(a1, b1), Mul(a2, b2)) | (
-                Pair(a1, b1),
-                Pair(a2, b2),
-            ) | (SeqExt(a1, b1), SeqExt(a2, b2)) | (Eq(a1, b1), Eq(a2, b2)) | (
-                And(a1, b1),
-                And(a2, b2),
-            ) | (Or(a1, b1), Or(a2, b2)) | (Imp(a1, b1), Imp(a2, b2)):
-                return go(a1, a2, ex, ey, d) and go(b1, b2, ex, ey, d)
-            case (Apply(f1, a1), Apply(f2, a2)) | (PrefixCode(f1, a1), PrefixCode(f2, a2)):
-                return go(f1, f2, ex, ey, d) and go(a1, a2, ex, ey, d)
-            case ContApply(f1, g1), ContApply(f2, g2):
-                return go(f1, f2, ex, ey, d) and go(g1, g2, ex, ey, d)
-            case Not(a1), Not(a2):
-                return go(a1, a2, ex, ey, d)
-            case (Lambda(v1, b1), Lambda(v2, b2)) | (ForallN(v1, b1), ForallN(v2, b2)) | (
-                ExistsN(v1, b1),
-                ExistsN(v2, b2),
-            ) | (ForallF(v1, b1), ForallF(v2, b2)) | (ExistsF(v1, b1), ExistsF(v2, b2)):
-                tag = f"#{d}"
-                return go(b1, b2, {**ex, v1: tag}, {**ey, v2: tag}, d + 1)
-            case (BForallN(v1, t1, b1), BForallN(v2, t2, b2)) | (
-                BExistsN(v1, t1, b1),
-                BExistsN(v2, t2, b2),
-            ):
-                if not go(t1, t2, ex, ey, d):
-                    return False
-                tag = f"#{d}"
-                return go(b1, b2, {**ex, v1: tag}, {**ey, v2: tag}, d + 1)
-            case _:
-                return False
+        if isinstance(x, _VARS):
+            return ex.get(x.name, x.name) == ey.get(y.name, y.name)
+        xs, ys = children(x), children(y)
+        if binds(x) is None:
+            return all(go(p, q, ex, ey, d) for p, q in zip(xs, ys))
+        tag = f"#{d}"
+        return all(go(p, q, ex, ey, d) for p, q in zip(xs[:-1], ys[:-1])) and go(
+            xs[-1], ys[-1], {**ex, x.var: tag}, {**ey, y.var: tag}, d + 1
+        )
 
     return go(a, b, {}, {}, 0)
 
@@ -521,80 +492,24 @@ def alpha_eq(a: Node, b: Node) -> bool:
 def canon(node: Node) -> Node:
     """Rename bound variables to a fixed scheme so alpha-equal trees collide.
 
-    Bound number variables become x0, x1, ... in traversal order; bound
-    function variables become @f0, @f1, ...  Free variables are untouched.
+    Bound number variables become x0, x1, ... and bound function variables
+    @f0, @f1, ..., numbered together in traversal order.  Free variables
+    are untouched.
     """
-    counter = [0]
+    counter = itertools.count()
 
-    def go(n: Node, en: dict[str, str], ef: dict[str, str]) -> Node:
-        def fresh_n() -> str:
-            counter[0] += 1
-            return f"x{counter[0] - 1}"
+    def go(n: Node, env: dict[str, str]) -> Node:
+        if isinstance(n, _VARS):
+            return type(n)(env[n.name]) if n.name in env else n
+        kids = children(n)
+        sort = binds(n)
+        if sort is None:
+            return rebuild(n, tuple([go(k, env) for k in kids]))
+        outer = [go(k, env) for k in kids[:-1]]
+        v2 = f"{'x' if sort is Sort.NUM else '@f'}{next(counter)}"
+        return rebuild(n, (*outer, go(kids[-1], {**env, n.var: v2})), v2)
 
-        def fresh_f() -> str:
-            counter[0] += 1
-            return f"@f{counter[0] - 1}"
-
-        match n:
-            case Zero():
-                return n
-            case Succ(a):
-                return Succ(go(a, en, ef))
-            case NumVar(name):
-                return NumVar(en.get(name, name))
-            case Add(a, b):
-                return Add(go(a, en, ef), go(b, en, ef))
-            case Mul(a, b):
-                return Mul(go(a, en, ef), go(b, en, ef))
-            case Pair(a, b):
-                return Pair(go(a, en, ef), go(b, en, ef))
-            case SeqExt(a, b):
-                return SeqExt(go(a, en, ef), go(b, en, ef))
-            case Apply(f, a):
-                return Apply(go(f, en, ef), go(a, en, ef))
-            case PrefixCode(f, t):
-                return PrefixCode(go(f, en, ef), go(t, en, ef))
-            case FnVar(name):
-                return FnVar(ef.get(name, name))
-            case Lambda(v, body):
-                v2 = fresh_n()
-                return Lambda(v2, go(body, {**en, v: v2}, ef))
-            case ContApply(f, g):
-                return ContApply(go(f, en, ef), go(g, en, ef))
-            case Eq(a, b):
-                return Eq(go(a, en, ef), go(b, en, ef))
-            case And(a, b):
-                return And(go(a, en, ef), go(b, en, ef))
-            case Or(a, b):
-                return Or(go(a, en, ef), go(b, en, ef))
-            case Imp(a, b):
-                return Imp(go(a, en, ef), go(b, en, ef))
-            case Not(a):
-                return Not(go(a, en, ef))
-            case ForallN(v, body):
-                v2 = fresh_n()
-                return ForallN(v2, go(body, {**en, v: v2}, ef))
-            case ExistsN(v, body):
-                v2 = fresh_n()
-                return ExistsN(v2, go(body, {**en, v: v2}, ef))
-            case ForallF(v, body):
-                v2 = fresh_f()
-                return ForallF(v2, go(body, {**en, v: v2}, ef))
-            case ExistsF(v, body):
-                v2 = fresh_f()
-                return ExistsF(v2, go(body, {**en, v: v2}, ef))
-            case BForallN(v, bound, body):
-                bound2 = go(bound, en, ef)
-                v2 = fresh_n()
-                return BForallN(v2, bound2, go(body, {**en, v: v2}, ef))
-            case BExistsN(v, bound, body):
-                bound2 = go(bound, en, ef)
-                v2 = fresh_n()
-                return BExistsN(v2, bound2, go(body, {**en, v: v2}, ef))
-            case _:
-                raise TypeError(f"unknown node: {n!r}")
-
-    return go(node, {}, {})
+    return go(node, {})
 
 
 # ---------------------------------------------------------------------------
@@ -606,55 +521,7 @@ def lambda_reduce(node: Node) -> Node:
 
     Functors are first order (bodies are number terms), so this terminates.
     """
-
-    def go(n: Node) -> Node:
-        match n:
-            case Zero() | NumVar(_) | FnVar(_):
-                return n
-            case Succ(a):
-                return Succ(go(a))
-            case Add(a, b):
-                return Add(go(a), go(b))
-            case Mul(a, b):
-                return Mul(go(a), go(b))
-            case Pair(a, b):
-                return Pair(go(a), go(b))
-            case SeqExt(a, b):
-                return SeqExt(go(a), go(b))
-            case Apply(f, a):
-                f2, a2 = go(f), go(a)
-                if isinstance(f2, Lambda):
-                    return go(subst_num(f2.body, f2.var, a2))
-                return Apply(f2, a2)
-            case PrefixCode(f, t):
-                return PrefixCode(go(f), go(t))
-            case Lambda(v, body):
-                return Lambda(v, go(body))
-            case ContApply(f, g):
-                return ContApply(go(f), go(g))
-            case Eq(a, b):
-                return Eq(go(a), go(b))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Imp(a, b):
-                return Imp(go(a), go(b))
-            case Not(a):
-                return Not(go(a))
-            case ForallN(v, body):
-                return ForallN(v, go(body))
-            case ExistsN(v, body):
-                return ExistsN(v, go(body))
-            case ForallF(v, body):
-                return ForallF(v, go(body))
-            case ExistsF(v, body):
-                return ExistsF(v, go(body))
-            case BForallN(v, bound, body):
-                return BForallN(v, go(bound), go(body))
-            case BExistsN(v, bound, body):
-                return BExistsN(v, go(bound), go(body))
-            case _:
-                raise TypeError(f"unknown node: {n!r}")
-
-    return go(node)
+    out = rebuild(node, tuple([lambda_reduce(k) for k in children(node)]))
+    if isinstance(out, Apply) and isinstance(out.fn, Lambda):
+        return lambda_reduce(subst_num(out.fn.body, out.fn.var, out.arg))
+    return out

@@ -2,13 +2,20 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bairelab
 from bairelab import seqcode
 from bairelab.cli import COMMAND_OPS, build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
+from bairelab.parser import MAX_DEPTH, parse_formula
 from bairelab.schemas import PAPER_MP_DISPLAY
+from bairelab.syntax import tree_depth
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -63,6 +70,54 @@ def test_parse_ast_gives_sexpr():
 
 def test_print_normalizes_numerals():
     assert run("print", "exists x. x = S(S(0))")[1] == "exists x. x = 2\n"
+
+
+def _nested(opening: str, inner: str, closing: str, n: int) -> str:
+    return opening * n + inner + closing * n
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    # the top formula and the term inside take one level each
+    assert run("parse", _nested("(", "0 = 0", ")", MAX_DEPTH - 2)) == (0, "0 = 0\n", "")
+    succ = _nested("S(", "0", ")", MAX_DEPTH - 3) + " = 0"
+    assert run("parse", succ) == (0, f"{MAX_DEPTH - 3} = 0\n", "")
+    # a chain of k conjunctions is a tree k + 2 levels deep
+    chain = " & ".join(["0 = 0"] * (MAX_DEPTH - 1))
+    assert run("parse", chain)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        _nested("(", "0 = 0", ")", 200),
+        _nested("S(", "0", ")", 400) + " = 0",
+        _nested("(", "0 = 0", ")", MAX_DEPTH - 1),
+        " & ".join(["0 = 0"] * MAX_DEPTH),
+        f"{MAX_DEPTH} = 0",
+        "9" * 5000 + " = 0",
+    ],
+    ids=["parens-200", "succ-400", "parens-over", "chain-over", "numeral", "huge-numeral"],
+)
+def test_parse_refuses_nesting_over_the_limit(src):
+    code, out, err = run("parse", src)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"{MAX_DEPTH}" in err
+    assert "Traceback" not in err
+
+
+def test_passes_run_on_trees_at_the_nesting_limit():
+    # three levels per repetition, while parsing and in the tree
+    deep = _nested("forall x. ~exists @a. ", "x = @a(0)", "", (MAX_DEPTH - 4) // 3)
+    assert tree_depth(parse_formula(deep)) > MAX_DEPTH - 4
+    for argv in (
+        ("parse", "--ast", deep),
+        ("translate-neg", deep, "--simplify-decidable-atoms"),
+        ("realize", "transform", deep),
+        ("schema", "ac01", "--body", deep),
+        ("schema", "bi1", "--body", deep),
+    ):
+        code, _, err = run(*argv)
+        assert code == 0, (argv[0], err[-200:])
 
 
 # --- sequence codes ----------------------------------------------------------
@@ -274,3 +329,18 @@ def test_parse_env_forms():
     assert parse_env("") == {}
     with pytest.raises(ValueError):
         parse_env("x")
+
+
+def test_cli_and_acceptance_import_without_hypothesis():
+    src = Path(bairelab.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.modules['hypothesis'] = None; "
+        "import bairelab.acceptance, bairelab.cli"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -27,6 +27,8 @@ from bairelab.syntax import (
 
 import pytest
 
+from strategies import formulas, terms
+
 
 def g(src: str) -> Formula:
     return neg_translate(parse_formula(src))
@@ -59,13 +61,13 @@ def test_is_negative_examples():
 
 
 @settings(max_examples=300, deadline=None)
-@given(gen.formulas())
+@given(formulas())
 def test_range_is_negative(f):
     assert is_negative(neg_translate(f))
 
 
 @settings(max_examples=200, deadline=None)
-@given(gen.formulas(), gen.terms())
+@given(formulas(), terms())
 def test_translation_commutes_with_substitution(f, t):
     left = neg_translate(subst_num(f, "x", t))
     right = subst_num(neg_translate(f), "x", t)

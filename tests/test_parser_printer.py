@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings
 
-from bairelab import gen
 from bairelab.parser import ParseError, parse_formula, parse_functor, parse_term
 from bairelab.printer import format_formula, format_term, to_sexpr
 from bairelab.syntax import (
@@ -29,6 +28,8 @@ from bairelab.syntax import (
     Zero,
     numeral,
 )
+
+from strategies import formulas, terms
 
 
 def test_parse_numerals_and_successor():
@@ -194,12 +195,12 @@ def test_roundtrip_handpicked():
 
 
 @settings(max_examples=300, deadline=None)
-@given(gen.formulas())
+@given(formulas())
 def test_roundtrip_random_formulas(f):
     _roundtrip_formula(f)
 
 
 @settings(max_examples=300, deadline=None)
-@given(gen.terms())
+@given(terms())
 def test_roundtrip_random_terms(t):
     _roundtrip_term(t)

@@ -1,15 +1,21 @@
 import pytest
+from hypothesis import given, settings
 
 from bairelab.syntax import (
     Add,
     And,
     Apply,
+    BExistsN,
     BForallN,
+    ContApply,
     Eq,
+    ExistsF,
     ExistsN,
     FnVar,
     ForallF,
     ForallN,
+    Formula,
+    Functor,
     Imp,
     Lambda,
     Mul,
@@ -17,19 +23,28 @@ from bairelab.syntax import (
     NumVar,
     Or,
     Pair,
+    PrefixCode,
+    SeqExt,
     SortError,
     Succ,
+    Term,
     Zero,
     alpha_eq,
+    binds,
     canon,
+    children,
     free_vars,
     lambda_reduce,
     numeral,
     numeral_value,
+    rebuild,
     subst_fun,
     subst_num,
     subst_term,
+    tree_depth,
 )
+
+from strategies import formulas
 
 
 def test_numeral_round_trip():
@@ -143,6 +158,99 @@ def test_canon_collides_alpha_equal_trees():
     b = ForallN("u", ExistsN("v", Eq(NumVar("u"), NumVar("v"))))
     assert canon(a) == canon(b)
     assert alpha_eq(canon(a), a)
+    c = ForallF("@a", ExistsN("y", Eq(Apply(FnVar("@a"), NumVar("y")), Zero())))
+    d = ForallF("@b", ExistsN("z", Eq(Apply(FnVar("@b"), NumVar("z")), Zero())))
+    assert canon(c) == canon(d)
+    assert alpha_eq(canon(c), c)
+
+
+def test_canon_renames_function_binders():
+    f = ForallF("@a", Eq(Apply(FnVar("@a"), Zero()), Zero()))
+    assert canon(f) == ForallF("@f0", Eq(Apply(FnVar("@f0"), Zero()), Zero()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_canon_properties(f):
+    c = canon(f)
+    assert alpha_eq(c, f)
+    assert free_vars(c) == free_vars(f)
+    assert canon(c) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas())
+def test_substituting_a_variable_for_itself_is_the_identity(f):
+    assert subst_num(f, "x", NumVar("x")) == f
+    assert subst_fun(f, "@a", FnVar("@a")) == f
+
+
+# one instance of every node class, binders with a bound or body that
+# mentions their variable
+_EQ = Eq(NumVar("x"), Zero())
+NODE_INSTANCES = (
+    Zero(),
+    Succ(Zero()),
+    NumVar("x"),
+    Add(NumVar("x"), Zero()),
+    Mul(Zero(), NumVar("y")),
+    Apply(FnVar("@a"), Zero()),
+    Pair(Zero(), NumVar("x")),
+    SeqExt(NumVar("s"), Zero()),
+    PrefixCode(FnVar("@a"), NumVar("n")),
+    FnVar("@a"),
+    Lambda("x", Succ(NumVar("x"))),
+    ContApply(FnVar("@a"), FnVar("@b")),
+    _EQ,
+    And(_EQ, Eq(Zero(), Zero())),
+    Or(_EQ, Eq(Zero(), Zero())),
+    Imp(_EQ, Eq(Zero(), Zero())),
+    Not(_EQ),
+    ForallN("x", _EQ),
+    ExistsN("x", _EQ),
+    ForallF("@a", Eq(Apply(FnVar("@a"), Zero()), Zero())),
+    ExistsF("@a", Eq(Apply(FnVar("@a"), Zero()), Zero())),
+    BForallN("x", NumVar("y"), _EQ),
+    BExistsN("x", NumVar("y"), _EQ),
+)
+
+
+def _concrete_node_classes() -> set[type]:
+    found, todo = set(), [Term, Functor, Formula]
+    while todo:
+        cls = todo.pop()
+        subs = cls.__subclasses__()
+        todo.extend(subs)
+        if not subs and cls not in (Term, Functor, Formula):
+            found.add(cls)
+    return found
+
+
+def test_node_instances_cover_every_class():
+    assert {type(n) for n in NODE_INSTANCES} == _concrete_node_classes()
+    assert len(NODE_INSTANCES) == 23
+
+
+@pytest.mark.parametrize("node", NODE_INSTANCES, ids=lambda n: type(n).__name__)
+def test_rebuild_of_children_is_the_identity(node):
+    assert rebuild(node, children(node)) == node
+
+
+def test_rebuild_renames_a_binder():
+    f = BForallN("x", NumVar("y"), Eq(NumVar("x"), Zero()))
+    assert binds(f) is not None and binds(Eq(Zero(), Zero())) is None
+    assert rebuild(f, children(f), "z") == BForallN("z", NumVar("y"), Eq(NumVar("x"), Zero()))
+    with pytest.raises(TypeError):
+        children(3)
+
+
+def test_tree_depth():
+    assert tree_depth(Zero()) == 1
+    assert tree_depth(Eq(numeral(5), Zero())) == 7
+    deep = Eq(Zero(), Zero())
+    for _ in range(5000):
+        deep = Not(deep)
+    assert tree_depth(deep) == 5002
 
 
 def test_lambda_reduce():
