@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Optional
 
@@ -140,7 +141,20 @@ def _rho_from_spec(args: argparse.Namespace) -> Callable[[int], int]:
 
 def _out(args: argparse.Namespace, key: str, value: object) -> None:
     """One result line: bare value normally, key=value under --machine."""
-    print(f"{key}={value}" if args.machine else value)
+    text = _decimal(value)
+    print(f"{key}={text}" if args.machine else text)
+
+
+def _decimal(value: object) -> str:
+    """str(value), refusing in bairelab's words an int too long to print."""
+    try:
+        return str(value)
+    except ValueError:  # only an int past sys.get_int_max_str_digits()
+        digits = int(value.bit_length() * math.log10(2)) + 1  # type: ignore[attr-defined]
+        raise ValueError(
+            f"result too large to print: about {digits:,} decimal digits, "
+            f"over the limit of {sys.get_int_max_str_digits():,}"
+        ) from None
 
 
 # --- handlers ----------------------------------------------------------------

@@ -3,11 +3,13 @@
 Given alpha, the interleaved sequence beta records alpha itself on even
 slots and diagonal halting facts on odd slots: 0 for a diverging
 machine, least-trace-plus-one for a halting one.  The pruning function
-rho kills every finite sequence that provably deviates from beta, so
-beta's prefixes are exactly the surviving path.  bar_verify and
-bar_recurse then operate on any pruned tree: the first checks that all
-paths are cut within a depth budget, the second folds a value bottom-up
-from the cut nodes to the root.
+rho cuts a finite sequence once it visibly deviates from beta.  Every
+prefix of beta survives, and in the limit beta is the only surviving
+path; at a finite depth, a 0 claimed for a halting machine survives
+until the sequence is as long as that machine's trace code.
+bar_verify and bar_recurse then operate on any pruned tree: the first
+checks that all paths are cut within a depth budget, the second folds a
+value bottom-up from the cut nodes to the root.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from .machine import (
     Diverges,
     Halts,
     HaltingInfo,
+    MalformedProgramError,
     OracleProgram,
     load_registry,
     oracle_fn,
     registry_programs,
+    run,
     t_check,
 )
 
@@ -62,9 +66,15 @@ def rho(
          code bounded by lh(s): cut.
       4. some odd slot 2k+1 is m+1 yet m is not the least trace code
          for machine k on k: cut.
-    Trace codes are unique per (machine, input, oracle), so "m is the
-    least trace" collapses to t_check on m, and the case-3 search stays
-    within the lh(s) bound.  Indices beyond the registry never get a
+    Trace codes are unique per (machine, input, oracle): t_check accepts
+    only the packed trace of the real run.  So "m is the least trace"
+    collapses to t_check on m, and case 3 ("some y <= lh(s) passes
+    t_check") is decided by one bounded run instead of a scan over y.
+    A trace of T configurations packs to more than T bits, so a trace
+    code y <= lh(s) needs T < lh(s).bit_length(); running machine k on
+    k for that many steps and comparing the trace with lh(s) is exact.
+    A run that falls off the end of its program has no halting trace,
+    so it refutes nothing.  Indices beyond the registry never get a
     halting certificate, so a 0 slot for them survives case 3 and a
     positive slot is cut by case 4.
     """
@@ -82,9 +92,7 @@ def rho(
         if j % 2 == 1 and v == 0:
             k = (j - 1) // 2
             program = programs.get(k)
-            if program is not None and any(
-                t_check(program, k, y, alpha) for y in range(bound + 1)
-            ):
+            if program is not None and _halts_within(program, k, alpha, bound):
                 return 0
     for j, v in enumerate(entries):
         if j % 2 == 1 and v > 0:
@@ -93,6 +101,15 @@ def rho(
             if program is None or not t_check(program, k, v - 1, alpha):
                 return 0
     return 1
+
+
+def _halts_within(program: OracleProgram, x: int, alpha: object, bound: int) -> bool:
+    """Does some y <= bound pass t_check(program, x, y, alpha)?"""
+    try:
+        result = run(program, x, alpha, bound.bit_length())
+    except MalformedProgramError:
+        return False
+    return result is not None and result.trace <= bound
 
 
 def not_a(s: int, alpha: object, h: HaltingInfo) -> bool:

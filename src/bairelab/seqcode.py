@@ -30,10 +30,23 @@ def prime(i: int) -> int:
     """The i-th prime, 0-indexed: prime(0) == 2."""
     while len(_PRIMES) <= i:
         c = _PRIMES[-1] + 2
-        while any(c % p == 0 for p in _PRIMES if p * p <= c):
+        while not _is_prime(c):
             c += 2
         _PRIMES.append(c)
     return _PRIMES[i]
+
+
+def _is_prime(c: int) -> bool:
+    """Trial division of c > 1 by the known primes up to its square root.
+
+    Correct whenever _PRIMES holds every prime up to sqrt(c).
+    """
+    for p in _PRIMES:
+        if p * p > c:
+            return True
+        if c % p == 0:
+            return False
+    return True
 
 
 def encode(items: list[int] | tuple[int, ...], max_bits: int | None = DEFAULT_MAX_BITS) -> int:

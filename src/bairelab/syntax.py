@@ -494,22 +494,40 @@ def canon(node: Node) -> Node:
 
     Bound number variables become x0, x1, ... and bound function variables
     @f0, @f1, ..., numbered together in traversal order.  Free variables
-    are untouched.
+    are untouched, and a scheme name that occurs free is skipped, so no
+    binder captures it.
     """
+    out, free, given = _canon(node, frozenset())
+    if free & given:  # rare: a free variable bears a scheme name
+        out = _canon(node, frozenset(free))[0]
+    return out
+
+
+def _canon(node: Node, skip: frozenset[str]) -> tuple[Node, set[str], set[str]]:
+    """canon skipping the names in skip; also the free names met and the
+    scheme names given out, collected on the same walk."""
     counter = itertools.count()
+    free: set[str] = set()
+    given: set[str] = set()
 
     def go(n: Node, env: dict[str, str]) -> Node:
         if isinstance(n, _VARS):
-            return type(n)(env[n.name]) if n.name in env else n
+            if n.name in env:
+                return type(n)(env[n.name])
+            free.add(n.name)
+            return n
         kids = children(n)
         sort = binds(n)
         if sort is None:
             return rebuild(n, tuple([go(k, env) for k in kids]))
         outer = [go(k, env) for k in kids[:-1]]
-        v2 = f"{'x' if sort is Sort.NUM else '@f'}{next(counter)}"
+        prefix = "x" if sort is Sort.NUM else "@f"
+        while (v2 := f"{prefix}{next(counter)}") in skip:
+            pass
+        given.add(v2)
         return rebuild(n, (*outer, go(kids[-1], {**env, n.var: v2})), v2)
 
-    return go(node, {})
+    return go(node, {}), free, given
 
 
 # ---------------------------------------------------------------------------

@@ -33,21 +33,25 @@ from bairelab.syntax import (
 )
 
 
-def _functors(ts: st.SearchStrategy[Term]) -> st.SearchStrategy[Functor]:
-    fv = st.sampled_from(FUN_POOL).map(FnVar)
-    lam = st.builds(Lambda, st.sampled_from(NUM_POOL), ts)
+def _functors(
+    ts: st.SearchStrategy[Term], num_pool: tuple[str, ...], fun_pool: tuple[str, ...]
+) -> st.SearchStrategy[Functor]:
+    fv = st.sampled_from(fun_pool).map(FnVar)
+    lam = st.builds(Lambda, st.sampled_from(num_pool), ts)
     shallow = st.one_of(fv, lam)
     return st.one_of(fv, lam, st.builds(ContApply, shallow, shallow))
 
 
-def terms() -> st.SearchStrategy[Term]:
+def terms(
+    num_pool: tuple[str, ...] = NUM_POOL, fun_pool: tuple[str, ...] = FUN_POOL
+) -> st.SearchStrategy[Term]:
     base = st.one_of(
         st.integers(0, 9).map(numeral),
-        st.sampled_from(NUM_POOL).map(NumVar),
+        st.sampled_from(num_pool).map(NumVar),
     )
 
     def extend(children: st.SearchStrategy[Term]) -> st.SearchStrategy[Term]:
-        fs = _functors(children)
+        fs = _functors(children, num_pool, fun_pool)
         return st.one_of(
             children.map(Succ),
             st.builds(Add, children, children),
@@ -61,13 +65,16 @@ def terms() -> st.SearchStrategy[Term]:
     return st.recursive(base, extend, max_leaves=12)
 
 
-def formulas() -> st.SearchStrategy[Formula]:
-    ts = terms()
+def formulas(
+    num_pool: tuple[str, ...] = NUM_POOL, fun_pool: tuple[str, ...] = FUN_POOL
+) -> st.SearchStrategy[Formula]:
+    """Formulas over the given variable names (gen's pools by default)."""
+    ts = terms(num_pool, fun_pool)
     atoms = st.builds(Eq, ts, ts)
 
     def extend(children: st.SearchStrategy[Formula]) -> st.SearchStrategy[Formula]:
-        nv = st.sampled_from(NUM_POOL)
-        fv = st.sampled_from(FUN_POOL)
+        nv = st.sampled_from(num_pool)
+        fv = st.sampled_from(fun_pool)
         return st.one_of(
             st.builds(And, children, children),
             st.builds(Or, children, children),

@@ -136,6 +136,19 @@ def test_seq_concat_and_bar():
     assert run("seq", "bar", "3", "--alpha", "fs:0:1=2")[1] == "270\n"
 
 
+def test_seq_code_too_long_to_print_is_a_domain_error():
+    limit = sys.get_int_max_str_digits()
+    for argv in (("seq", "encode", "100000"), ("--machine", "seq", "bar", "5000")):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: result too large to print: about ")
+        assert f"over the limit of {limit:,}" in err
+        assert "set_int_max_str_digits" not in err
+    # 2**14001 has 4,215 digits, under the limit
+    code, out, _ = run("seq", "encode", "14000")
+    assert code == 0 and out == f"{2**14001}\n"
+
+
 def test_seq_decode_machine_form():
     assert run("--machine", "seq", "decode", "108")[1] == "ok=true\nentries=1,2\n"
     assert run("--machine", "seq", "decode", "5")[1] == "ok=false\n"

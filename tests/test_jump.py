@@ -3,7 +3,7 @@
 import pytest
 
 from bairelab import seqcode
-from bairelab.baire import FiniteSupport
+from bairelab.baire import FiniteSupport, Tabled
 from bairelab.jump import (
     BUILTIN_BASES,
     BUILTIN_RHOS,
@@ -18,15 +18,18 @@ from bairelab.jump import (
     not_a,
     rho,
     oracle_rho,
+    _halts_within,
 )
 from bairelab.machine import (
     Halts,
+    MalformedProgramError,
     OracleProgram,
     assemble,
     certify,
     load_registry,
     registry_programs,
     run,
+    t_check,
 )
 
 ZERO = FiniteSupport()
@@ -131,9 +134,9 @@ def test_build_beta_registry_is_the_surviving_path():
 def test_rho_deep_prefix_reaches_real_trace_codes():
     # The divergence-claim bound bites at genuine trace magnitudes: with
     # the zero oracle, registry program 4 halts with trace 10571, and
-    # the refutation search runs over y <= lh(s), so the false claim is
-    # cut at prefix length 10571 and survives at 10570.  Codes here run
-    # to about a megabit; decode must cope.
+    # case 3 cuts a 0 claim once that trace is at most lh(s), so the
+    # false claim is cut at prefix length 10571 and survives at 10570.
+    # Codes here run to about a megabit; decode must cope.
     entries = load_registry()
     programs = registry_programs(entries)
     h = certify({k: programs[k] for k in range(21)}, ZERO, 100_000)
@@ -148,6 +151,80 @@ def test_rho_deep_prefix_reaches_real_trace_codes():
     kept = seqcode.bar(tampered, y4 - 1, max_bits=None)
     assert rho(cut, ZERO, programs) == 0
     assert rho(kept, ZERO, programs) == 1
+
+
+# --- case 3: one bounded run against the scan it replaced --------------------
+
+FALLS_OFF = OracleProgram(0, assemble("INC 1, INC 1"))
+ASK_ONCE = OracleProgram(0, assemble("QRY 0 0, HALT 0"))  # two steps
+DIFF_ALPHAS = (
+    ZERO,
+    FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4),
+    FiniteSupport(((0, 1),), default=0),
+    Tabled((2, 0, 7, 1, 0, 3), default=1),
+)
+
+
+def _scan_refutes(program, x, alpha, bound):
+    """Case 3 as first written: some y <= bound passes t_check."""
+    return any(t_check(program, x, y, alpha) for y in range(bound + 1))
+
+
+def _diagonal_cases():
+    programs = registry_programs(load_registry())
+    yield from ((program, k) for k, program in programs.items())
+    yield HALT_NOW, 0
+    yield ASK_ONCE, 0
+    yield FALLS_OFF, 0
+
+
+def _claims_divergence(alpha, length):
+    """alpha on the even slots and 0 on every odd slot."""
+    return seqcode.encode(
+        [alpha.at(j // 2) if j % 2 == 0 else 0 for j in range(length)], max_bits=None
+    )
+
+
+def test_rho_case3_run_matches_the_scan_on_small_bounds():
+    for alpha in DIFF_ALPHAS:
+        for program, k in _diagonal_cases():
+            for bound in range(2, 65):
+                want = _scan_refutes(program, k, alpha, bound)
+                assert _halts_within(program, k, alpha, bound) == want, (k, bound)
+                if 2 * k + 1 < bound:
+                    s = _claims_divergence(alpha, bound)
+                    assert rho(s, alpha, {k: program}) == (0 if want else 1), (k, bound)
+
+
+def test_rho_case3_run_matches_the_scan_at_trace_codes():
+    seen = set()
+    for a, alpha in enumerate(DIFF_ALPHAS):
+        for program, k in _diagonal_cases():
+            try:
+                claim = certify({k: program}, alpha, 100_000).get((k, k))
+            except MalformedProgramError:
+                continue
+            if not isinstance(claim, Halts) or claim.trace > 25_000:
+                continue
+            for bound in (claim.trace - 1, claim.trace):
+                want = _scan_refutes(program, k, alpha, bound)
+                assert want == (bound == claim.trace)
+                assert _halts_within(program, k, alpha, bound) == want, (k, bound)
+                seen.add((a, k, bound))
+    # under the zero oracle: HALT-immediately on 0, registry program 4
+    # (HALT 0 as well) on 4, which sets the deep-prefix bound, and the
+    # two-step run of ASK_ONCE on 0
+    assert {(0, 0, 662), (0, 4, 10_570), (0, 4, 10_571), (0, 0, 21_483)} <= seen
+
+
+def test_rho_case3_program_falling_off_its_end_cuts_nothing():
+    with pytest.raises(MalformedProgramError):
+        run(FALLS_OFF, 0, ZERO, 10)
+    for alpha in DIFF_ALPHAS:
+        for bound in (2, 3, 4, 100, 1000):
+            assert not _scan_refutes(FALLS_OFF, 0, alpha, bound)
+            assert not _halts_within(FALLS_OFF, 0, alpha, bound)
+        assert rho(_claims_divergence(alpha, 8), alpha, {0: FALLS_OFF}) == 1
 
 
 def test_bar_verify_uniform_bar():

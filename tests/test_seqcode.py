@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bairelab import seqcode
 from bairelab.seqcode import (
     SeqCodeError,
     SeqOverflow,
@@ -20,6 +21,20 @@ from bairelab.seqcode import (
 def test_primes():
     assert [prime(i) for i in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert prime(41) == 181
+
+
+def test_first_2000_primes_match_a_sieve(monkeypatch):
+    # start from the seed list, so every prime past 13 is generated here
+    monkeypatch.setattr(seqcode, "_PRIMES", [2, 3, 5, 7, 11, 13])
+    limit = 17_389  # the 2000th prime
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\x00\x00"
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, limit + 1, n)))
+    want = [n for n in range(limit + 1) if sieve[n]]
+    assert len(want) == 2000
+    assert [prime(i) for i in range(2000)] == want
 
 
 def test_encode_known_values():

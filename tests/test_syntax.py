@@ -44,6 +44,7 @@ from bairelab.syntax import (
     tree_depth,
 )
 
+from bairelab.gen import FUN_POOL, NUM_POOL
 from strategies import formulas
 
 
@@ -169,13 +170,38 @@ def test_canon_renames_function_binders():
     assert canon(f) == ForallF("@f0", Eq(Apply(FnVar("@f0"), Zero()), Zero()))
 
 
-@settings(max_examples=300, deadline=None)
-@given(formulas())
-def test_canon_properties(f):
+def test_canon_skips_scheme_names_that_occur_free():
+    f = ForallN("y", Eq(NumVar("y"), NumVar("x0")))
+    assert canon(f) == ForallN("x1", Eq(NumVar("x1"), NumVar("x0")))
+    g = ForallF("@a", Eq(Apply(FnVar("@a"), Zero()), Apply(FnVar("@f0"), Zero())))
+    want = ForallF("@f1", Eq(Apply(FnVar("@f1"), Zero()), Apply(FnVar("@f0"), Zero())))
+    assert canon(g) == want
+    # one counter for both sorts: a free x1 is skipped after @f0 is taken
+    h = ForallF("@a", ForallN("y", Eq(Apply(FnVar("@a"), NumVar("y")), NumVar("x1"))))
+    assert canon(h) == ForallF(
+        "@f0", ForallN("x2", Eq(Apply(FnVar("@f0"), NumVar("x2")), NumVar("x1")))
+    )
+    for t in (f, g, h):
+        assert alpha_eq(canon(t), t)
+
+
+def _check_canon(f):
     c = canon(f)
     assert alpha_eq(c, f)
     assert free_vars(c) == free_vars(f)
     assert canon(c) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas())
+def test_canon_properties(f):
+    _check_canon(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(NUM_POOL[:3] + ("x0", "x1"), FUN_POOL[:2] + ("@f0", "@f1")))
+def test_canon_properties_with_scheme_names_in_play(f):
+    _check_canon(f)
 
 
 @settings(max_examples=200, deadline=None)
