@@ -12,7 +12,7 @@ from typing import Callable
 
 from . import seqcode
 from .errors import BairelabError
-from .machine import OracleProgram, run
+from .machine import OracleProgram, _steps
 
 
 class FuelExhausted(BairelabError):
@@ -83,20 +83,20 @@ class Program(BaireElement):
     """The function computed by an oracle machine, fuel-bounded.
 
     at(n) runs the machine on input n with the structure view of n as
-    the oracle; failure to halt within fuel raises FuelExhausted rather
-    than pretending a value.
+    the oracle and reads the output only, packing no trace; failure to
+    halt within fuel raises FuelExhausted rather than pretending a value.
     """
 
     program: OracleProgram
     fuel: int = 100_000
 
     def at(self, n: int) -> int:
-        result = run(self.program, n, _seq_view(n), self.fuel)
-        if result is None:
+        halted = _steps(self.program, n, _seq_view(n), self.fuel)
+        if halted is None:
             raise FuelExhausted(
                 f"program {self.program.index} on {n}: no halt within {self.fuel}"
             )
-        return result.output
+        return halted[1]
 
 
 class _Fn(BaireElement):

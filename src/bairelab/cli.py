@@ -145,16 +145,29 @@ def _out(args: argparse.Namespace, key: str, value: object) -> None:
     print(f"{key}={text}" if args.machine else text)
 
 
+_TOO_LONG = "result too large to print: about {:,} decimal digits, over the limit of {:,}"
+
+
 def _decimal(value: object) -> str:
     """str(value), refusing in bairelab's words an int too long to print."""
     try:
         return str(value)
     except ValueError:  # only an int past sys.get_int_max_str_digits()
         digits = int(value.bit_length() * math.log10(2)) + 1  # type: ignore[attr-defined]
-        raise ValueError(
-            f"result too large to print: about {digits:,} decimal digits, "
-            f"over the limit of {sys.get_int_max_str_digits():,}"
-        ) from None
+        raise ValueError(_TOO_LONG.format(digits, sys.get_int_max_str_digits())) from None
+
+
+def _seq_code(entries: list[int]) -> int:
+    """The code of entries, refused before it is built when it is too long to print."""
+    limit = sys.get_int_max_str_digits()
+    # a code of more than limit * log2(10) + 1 bits has more than limit digits
+    max_bits = int(limit * math.log2(10)) + 2 if limit else None
+    try:
+        return seqcode.encode(entries, max_bits=max_bits)
+    except seqcode.SeqOverflow:  # estimate log10 of the code, in integer units of 1e-12
+        logs = [round(1e12 * math.log10(seqcode.prime(i))) for i in range(len(entries))]
+        log10 = sum((x + 1) * m for x, m in zip(entries, logs) if x >= 0)
+        raise ValueError(_TOO_LONG.format(log10 // 10**12 + 1, limit)) from None
 
 
 # --- handlers ----------------------------------------------------------------
@@ -175,7 +188,7 @@ def _cmd_print(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq_encode(args: argparse.Namespace) -> int:
-    _out(args, "code", seqcode.encode(args.entries, max_bits=None))
+    _out(args, "code", _seq_code(args.entries))
     return 0
 
 
@@ -195,13 +208,13 @@ def _cmd_seq_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_seq_concat(args: argparse.Namespace) -> int:
-    _out(args, "code", seqcode.concat(args.left, args.right, max_bits=None))
+    _out(args, "code", _seq_code(seqcode._entries(args.left) + seqcode._entries(args.right)))
     return 0
 
 
 def _cmd_seq_bar(args: argparse.Namespace) -> int:
     alpha = parse_element(args.alpha)
-    _out(args, "code", seqcode.bar(alpha.at, args.length, max_bits=None))
+    _out(args, "code", _seq_code([alpha.at(i) for i in range(args.length)]))
     return 0
 
 

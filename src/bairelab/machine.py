@@ -10,8 +10,9 @@ is a decidable predicate (t_check) and the least such y is unique.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import BairelabError
@@ -87,7 +88,7 @@ class OracleProgram:
             if isinstance(ins, Jz) and not 0 <= ins.target < len(self.instructions):
                 raise MalformedProgramError(f"jump target out of range: {ins!r}")
 
-    @property
+    @functools.cached_property
     def num_registers(self) -> int:
         return 1 + max(r for ins in self.instructions for r in _regs_of(ins))
 
@@ -192,6 +193,43 @@ def _step(ins: Instr, pc: int, regs: list[int], pending: int) -> int:
     return pc + 1
 
 
+def _steps(
+    program: OracleProgram, x: int, alpha: object, fuel: int, seen: Optional[dict] = None
+) -> Union[tuple[list[Config], int], LoopCert, None]:
+    """Run program on x under oracle alpha for at most fuel steps.
+
+    The machine's one stepping loop.  It returns (configs, output) when
+    the run halts, configs being every configuration, HALT step included;
+    a LoopCert when a (pc, registers) state recurs, checked only when the
+    caller passes a seen dict (state -> first step); None when fuel runs
+    out.  Control falling off the end raises MalformedProgramError.
+    """
+    q = oracle_fn(alpha)
+    code = program.instructions
+    code_len = len(code)
+    regs = [0] * program.num_registers
+    regs[0] = x
+    pc = 0
+    configs: list[Config] = []
+    for step in range(fuel):
+        if seen is not None:
+            state = (pc, *regs)
+            if state in seen:
+                return LoopCert(seen[state], step, state)
+            seen[state] = step
+        ins = code[pc]
+        pending = q(regs[ins.src]) if isinstance(ins, Query) else 0
+        configs.append((pc, *regs, pending))
+        if isinstance(ins, Halt):
+            return configs, regs[ins.reg]
+        pc = _step(ins, pc, regs, pending)
+        if pc == code_len:
+            raise MalformedProgramError(
+                f"program {program.index} ran off the end at step {step + 1}"
+            )
+    return None
+
+
 def run(
     program: OracleProgram, x: int, alpha: object, fuel: int
 ) -> Optional[RunResult]:
@@ -202,24 +240,11 @@ def run(
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    q = oracle_fn(alpha)
-    width = program.num_registers
-    regs = [0] * width
-    regs[0] = x
-    pc = 0
-    configs: list[Config] = []
-    for _ in range(fuel):
-        ins = program.instructions[pc]
-        pending = q(regs[ins.src]) if isinstance(ins, Query) else 0
-        configs.append((pc, *regs, pending))
-        if isinstance(ins, Halt):
-            return RunResult(pack_trace(width, configs), regs[ins.reg], len(configs))
-        pc = _step(ins, pc, regs, pending)
-        if pc == len(program.instructions):
-            raise MalformedProgramError(
-                f"program {program.index} ran off the end at step {len(configs)}"
-            )
-    return None
+    halted = _steps(program, x, alpha, fuel)
+    if halted is None:
+        return None
+    configs, output = halted
+    return RunResult(pack_trace(program.num_registers, configs), output, len(configs))
 
 
 def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
@@ -233,15 +258,13 @@ def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
     num_regs, configs = unpacked
     if num_regs != program.num_registers:
         return False
+    if configs[0][:-1] != (0, x) + (0,) * (num_regs - 1):
+        return False
     q = oracle_fn(alpha)
-    width = num_regs + 2
-    init = (0,) + (x,) + (0,) * (num_regs - 1) + (0,)
     code_len = len(program.instructions)
     for t, config in enumerate(configs):
-        pc, pending = config[0], config[width - 1]
-        regs = list(config[1 : width - 1])
-        if t == 0 and config[:-1] != init[:-1]:
-            return False
+        pc, pending = config[0], config[-1]
+        regs = list(config[1:-1])
         if pc >= code_len:
             return False
         ins = program.instructions[pc]
@@ -257,16 +280,10 @@ def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
             next_pc = _step(ins, pc, regs, pending)
             if next_pc == code_len:
                 return False
-            if configs[t + 1] != (next_pc, *regs, *_peek_pending(program, next_pc, regs, q)):
+            # config t+1's pending is checked at step t+1
+            if configs[t + 1][:-1] != (next_pc, *regs):
                 return False
     return True
-
-
-def _peek_pending(
-    program: OracleProgram, pc: int, regs: list[int], q: Callable[[int], int]
-) -> tuple[int]:
-    ins = program.instructions[pc]
-    return (q(regs[ins.src]) if isinstance(ins, Query) else 0,)
 
 
 # --- certified halting information ----------------------------------------
@@ -296,12 +313,9 @@ HaltingInfo = dict[tuple[int, int], Union[Halts, Diverges]]
 
 
 def certify(
-    programs: Mapping[int, OracleProgram],
-    alpha: object,
-    fuel: int,
-    inputs: Optional[Mapping[int, int]] = None,
+    programs: Mapping[int, OracleProgram], alpha: object, fuel: int
 ) -> HaltingInfo:
-    """Settle halting on the diagonal (input = index unless overridden).
+    """Settle halting on the diagonal: program e on input e, key (e, e).
 
     Halting entries carry the packed trace; divergence is certified by a
     repeated (pc, registers) state, which suffices because the oracle is
@@ -310,31 +324,12 @@ def certify(
     """
     info: HaltingInfo = {}
     for e, program in programs.items():
-        x = inputs[e] if inputs is not None else e
-        q = oracle_fn(alpha)
-        regs = [0] * program.num_registers
-        regs[0] = x
-        pc = 0
-        configs: list[Config] = []
-        seen: dict[tuple[int, ...], int] = {}
-        for step in range(fuel):
-            state = (pc, *regs)
-            if state in seen:
-                info[(e, x)] = Diverges(LoopCert(seen[state], step, state))
-                break
-            seen[state] = step
-            ins = program.instructions[pc]
-            pending = q(regs[ins.src]) if isinstance(ins, Query) else 0
-            configs.append((pc, *regs, pending))
-            if isinstance(ins, Halt):
-                y = pack_trace(program.num_registers, configs)
-                info[(e, x)] = Halts(y, regs[ins.reg])
-                break
-            pc = _step(ins, pc, regs, pending)
-            if pc == len(program.instructions):
-                raise MalformedProgramError(
-                    f"program {e} ran off the end at step {len(configs)}"
-                )
+        end = _steps(program, e, alpha, fuel, seen={})
+        if isinstance(end, LoopCert):
+            info[(e, e)] = Diverges(end)
+        elif end is not None:
+            configs, output = end
+            info[(e, e)] = Halts(pack_trace(program.num_registers, configs), output)
     return info
 
 
@@ -391,20 +386,10 @@ def assemble(text: str) -> tuple[Instr, ...]:
 
 
 def format_program(program: OracleProgram) -> str:
-    parts = []
-    for ins in program.instructions:
-        match ins:
-            case Inc(r):
-                parts.append(f"INC {r}")
-            case Dec(r):
-                parts.append(f"DEC {r}")
-            case Jz(r, t):
-                parts.append(f"JZ {r} {t}")
-            case Query(s, d):
-                parts.append(f"QRY {s} {d}")
-            case Halt(r):
-                parts.append(f"HALT {r}")
-    return ", ".join(parts)
+    names = {cls: op for op, cls in _MNEMONICS.items()}
+    return ", ".join(
+        " ".join([names[type(ins)], *map(str, astuple(ins))]) for ins in program.instructions
+    )
 
 
 @dataclass(frozen=True)
@@ -470,8 +455,7 @@ def verify_registry(
     entries: Sequence[RegistryEntry], fuel: int = 10_000
 ) -> None:
     """Recompute every claim under the zero oracle; raise on any mismatch."""
-    programs = {e.program.index: e.program for e in entries}
-    recomputed = certify(programs, _ZERO_ORACLE, fuel)
+    recomputed = certify(registry_programs(entries), _ZERO_ORACLE, fuel)
     for entry in entries:
         e = entry.program.index
         got = recomputed.get((e, e))

@@ -53,11 +53,21 @@ def encode(items: list[int] | tuple[int, ...], max_bits: int | None = DEFAULT_MA
     """Code a finite sequence of naturals; [] codes to 1."""
     n = 1
     for i, x in enumerate(items):
-        if x < 0:
-            raise ValueError("sequence entries must be naturals")
-        n *= prime(i) ** (x + 1)
-        if max_bits is not None and n.bit_length() > max_bits:
-            raise SeqOverflow(f"sequence code exceeds {max_bits} bits")
+        n = _times_power(n, i, x, max_bits)
+    return n
+
+
+def _times_power(n: int, i: int, x: int, max_bits: int | None) -> int:
+    """n * prime(i) ** (x + 1); a power past max_bits bits is refused before it is computed."""
+    if x < 0:
+        raise ValueError("sequence entries must be naturals")
+    p = prime(i)
+    # exact: p ** (x + 1) >= 2 ** ((x + 1) * (p.bit_length() - 1))
+    if max_bits is not None and (x + 1) * (p.bit_length() - 1) >= max_bits:
+        raise SeqOverflow(f"sequence code exceeds {max_bits} bits")
+    n *= p ** (x + 1)
+    if max_bits is not None and n.bit_length() > max_bits:
+        raise SeqOverflow(f"sequence code exceeds {max_bits} bits")
     return n
 
 
@@ -100,19 +110,22 @@ def is_seqnum(n: int) -> bool:
     return decode(n) is not None
 
 
-def lh(n: int) -> int:
-    """Length of the coded sequence."""
+def _entries(n: int) -> list[int]:
+    """decode(n), refusing an n that codes nothing."""
     d = decode(n)
     if d is None:
         raise SeqCodeError(f"{n} is not a sequence code")
-    return len(d)
+    return d
+
+
+def lh(n: int) -> int:
+    """Length of the coded sequence."""
+    return len(_entries(n))
 
 
 def proj(n: int, i: int) -> int:
     """Entry i of the coded sequence."""
-    d = decode(n)
-    if d is None:
-        raise SeqCodeError(f"{n} is not a sequence code")
+    d = _entries(n)
     if not 0 <= i < len(d):
         raise SeqCodeError(f"index {i} out of range for length {len(d)}")
     return d[i]
@@ -120,10 +133,7 @@ def proj(n: int, i: int) -> int:
 
 def concat(a: int, b: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
     """Code of the concatenation of two coded sequences."""
-    da, db = decode(a), decode(b)
-    if da is None or db is None:
-        raise SeqCodeError("concat needs two sequence codes")
-    return encode(da + db, max_bits=max_bits)
+    return encode(_entries(a) + _entries(b), max_bits=max_bits)
 
 
 def bar(alpha: Callable[[int], int], x: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
@@ -133,12 +143,4 @@ def bar(alpha: Callable[[int], int], x: int, max_bits: int | None = DEFAULT_MAX_
 
 def extend(s: int, item: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
     """Code of the coded sequence s with one more entry appended."""
-    d = decode(s)
-    if d is None:
-        raise SeqCodeError(f"{s} is not a sequence code")
-    if item < 0:
-        raise ValueError("sequence entries must be naturals")
-    n = s * prime(len(d)) ** (item + 1)
-    if max_bits is not None and n.bit_length() > max_bits:
-        raise SeqOverflow(f"sequence code exceeds {max_bits} bits")
-    return n
+    return _times_power(s, len(_entries(s)), item, max_bits)

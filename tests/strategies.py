@@ -42,6 +42,13 @@ def _functors(
     return st.one_of(fv, lam, st.builds(ContApply, shallow, shallow))
 
 
+def functors(
+    num_pool: tuple[str, ...] = NUM_POOL, fun_pool: tuple[str, ...] = FUN_POOL
+) -> st.SearchStrategy[Functor]:
+    """Functors over the given variable names, lambda bodies drawn by terms()."""
+    return _functors(terms(num_pool, fun_pool), num_pool, fun_pool)
+
+
 def terms(
     num_pool: tuple[str, ...] = NUM_POOL, fun_pool: tuple[str, ...] = FUN_POOL
 ) -> st.SearchStrategy[Term]:

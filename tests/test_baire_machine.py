@@ -1,11 +1,14 @@
 """Register machine, trace codes, certification, and Baire descriptors."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bairelab import seqcode
-from bairelab.baire import FiniteSupport, FuelExhausted, Program, Tabled
+from bairelab.acceptance import _brute_halting_trace
+from bairelab.baire import FiniteSupport, FuelExhausted, Program, Tabled, _seq_view
 from bairelab.machine import (
     Dec,
     Diverges,
@@ -30,12 +33,14 @@ from bairelab.machine import (
     unpack_trace,
     verify_registry,
 )
+from bairelab.realize import mp_realizer
 
 ZERO = lambda n: 0  # noqa: E731
 
 HALT_NOW = OracleProgram(0, (Halt(0),))
 QUERY_HALT = OracleProgram(1, assemble("QRY 1 2, HALT 2"))
 TIGHT_LOOP = OracleProgram(2, assemble("JZ 0 0, HALT 0"))
+MP_SCAN = mp_realizer().program
 
 
 # independent packing oracle: Elias gamma over (field+1), marker bit up front
@@ -183,9 +188,55 @@ def test_certify_splits_halts_and_loops():
     assert (0, 0) not in certify({0: TIGHT_LOOP}, ZERO, 1)
 
 
-def test_certify_respects_input_override():
-    info = certify({0: HALT_NOW}, ZERO, 10, inputs={0: 9})
-    assert info[(0, 9)].output == 9
+# --- the stepping core: run, certify and Program.at ---------------------------
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [FiniteSupport(), FiniteSupport(((0, 5), (3, 0)), default=1), FiniteSupport(((1, 5),))],
+)
+def test_run_matches_the_brute_force_simulator(alpha):
+    # the MP realizer's scan queries registers that differ from their destination
+    programs = [e.program for e in load_registry()] + [HALT_NOW, QUERY_HALT, MP_SCAN]
+    for program in programs:
+        x = program.index
+        for fuel in (*range(1, 65), 100_000):
+            result = run(program, x, alpha, fuel)
+            want = _brute_halting_trace(program, x, alpha, fuel)
+            assert (None if result is None else result.trace) == want, (program.index, fuel)
+
+
+def test_program_at_is_the_output_of_run():
+    realizer = mp_realizer()
+    codes = [
+        seqcode.encode(entries)
+        for length in range(4)
+        for entries in itertools.product(range(4), repeat=length)
+    ]
+    exhausted = {}
+    for fuel in (12, realizer.fuel):
+        element = Program(realizer.program, fuel)
+        exhausted[fuel] = 0
+        for n in codes:
+            result = run(realizer.program, n, _seq_view(n), fuel)
+            if result is None:
+                exhausted[fuel] += 1
+                with pytest.raises(FuelExhausted):
+                    element.at(n)
+            else:
+                assert element.at(n) == result.output
+    # fuel 12 cuts some scans short and not others; the default cuts none
+    assert 0 < exhausted[12] < len(codes) and exhausted[realizer.fuel] == 0
+
+
+def test_off_the_end_is_malformed_through_every_caller():
+    off_end = OracleProgram(0, assemble("INC 1, INC 1"))
+    with pytest.raises(MalformedProgramError):
+        run(off_end, 0, ZERO, 10)
+    with pytest.raises(MalformedProgramError):
+        certify({0: off_end}, ZERO, 10)
+    with pytest.raises(MalformedProgramError):
+        Program(off_end, fuel=10).at(0)
 
 
 # --- the shipped registry ---------------------------------------------------

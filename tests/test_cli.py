@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,8 +139,15 @@ def test_seq_concat_and_bar():
 
 def test_seq_code_too_long_to_print_is_a_domain_error():
     limit = sys.get_int_max_str_digits()
-    for argv in (("seq", "encode", "100000"), ("--machine", "seq", "bar", "5000")):
+    for argv in (
+        ("seq", "encode", "100000"),
+        ("--machine", "seq", "bar", "5000"),
+        ("seq", "encode", "1000000000000"),  # refused before the code is built
+        ("seq", "bar", "1", "--alpha", "const:1000000000000"),
+    ):
+        start = time.perf_counter()
         code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error: result too large to print: about ")
         assert f"over the limit of {limit:,}" in err

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from bairelab.parser import ParseError, parse_formula, parse_functor, parse_term
-from bairelab.printer import format_formula, format_term, to_sexpr
+from bairelab.printer import format_formula, format_functor, format_term, to_sexpr
 from bairelab.syntax import (
     Add,
     And,
@@ -29,7 +29,7 @@ from bairelab.syntax import (
     numeral,
 )
 
-from strategies import formulas, terms
+from strategies import formulas, functors, terms
 
 
 def test_parse_numerals_and_successor():
@@ -74,6 +74,8 @@ def test_parse_functor_forms():
     assert parse_functor("@a") == FnVar("@a")
     assert parse_functor("lam x. x * x") == Lambda("x", Mul(NumVar("x"), NumVar("x")))
     assert parse_functor("ap(lam x. x, @b)") == ContApply(Lambda("x", NumVar("x")), FnVar("@b"))
+    for src in ("@a", "lam x. x * x", "ap(lam x. x, @b)"):
+        assert format_functor(parse_functor(src)) == src
 
 
 def test_parse_connective_precedence():
@@ -204,3 +206,9 @@ def test_roundtrip_random_formulas(f):
 @given(terms())
 def test_roundtrip_random_terms(t):
     _roundtrip_term(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(functors())
+def test_roundtrip_random_functors(f):
+    assert parse_functor(format_functor(f)) == f

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,17 @@ def test_overflow_guard():
     # explicit opt-out lifts the guard
     big = encode([10000, 10000], max_bits=None)
     assert decode(big) == [10000, 10000]
+
+
+def test_overflow_guard_is_exact_and_refuses_before_the_power():
+    assert encode([4094]).bit_length() == 4096
+    with pytest.raises(SeqOverflow):
+        encode([4095])
+    for build in (lambda: encode([10**12]), lambda: extend(1, 10**12)):
+        start = time.perf_counter()
+        with pytest.raises(SeqOverflow):
+            build()
+        assert time.perf_counter() - start < 0.1
 
 
 @settings(max_examples=200, deadline=None)
