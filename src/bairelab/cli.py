@@ -56,7 +56,7 @@ def parse_element(spec: str) -> BaireElement:
     """Decode an element description.
 
     zero | const:N | fs:DEFAULT[:k=v]... | tab:DEFAULT[:v]... | mp | dns1
-    | file:PATH (JSON with "default" plus "overrides" or "prefix").
+    | file:PATH (a JSON object with "default" plus "overrides" or "prefix").
     """
     head, _, rest = spec.partition(":")
     match head:
@@ -80,12 +80,27 @@ def parse_element(spec: str) -> BaireElement:
             return Tabled(tuple(int(v) for v in values), int(default))
         case "file":
             with open(rest, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if "prefix" in data:
-                return Tabled(tuple(data["prefix"]), int(data.get("default", 0)))
-            overrides = tuple((int(k), int(v)) for k, v in data.get("overrides", []))
-            return FiniteSupport(overrides, int(data.get("default", 0)))
+                return _json_element(json.load(fh))
     raise ValueError(f"unknown element spec {spec!r}")
+
+
+def _json_element(data: object) -> BaireElement:
+    """{"prefix": [v, ...]} or {"overrides": [[k, v], ...]}, each with an
+    optional "default"; every number must be a JSON integer."""
+    if not isinstance(data, dict):
+        raise ValueError("a file: element must be a JSON object")
+    default = data.get("default", 0)
+    prefix, pairs = data.get("prefix", []), data.get("overrides", [])
+    if not (_ints([default]) and _ints(prefix) and isinstance(pairs, list)
+            and all(_ints(p) and len(p) == 2 for p in pairs)):
+        raise ValueError('a file: element needs JSON integers in "default", "prefix", "overrides"')
+    if "prefix" in data:
+        return Tabled(tuple(prefix), default)
+    return FiniteSupport(tuple(map(tuple, pairs)), default)
+
+
+def _ints(value: object) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)  # not bool
 
 
 def _parse_env_value(name: str, text: str) -> object:

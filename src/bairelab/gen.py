@@ -139,22 +139,6 @@ def random_qf_formula(
             return Eq(random_term(rng, 1, num_vars), random_term(rng, 1, num_vars))
 
 
-def random_prop(rng: random.Random, depth: int, atoms: Sequence[str] = ("p", "q", "r")) -> PropFormula:
-    if depth <= 0:
-        return PAtom(rng.choice(list(atoms)))
-    match rng.randrange(5):
-        case 0:
-            return PAnd(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
-        case 1:
-            return POr(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
-        case 2:
-            return PImp(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
-        case 3:
-            return PNot(random_prop(rng, depth - 1, atoms))
-        case _:
-            return PAtom(rng.choice(list(atoms)))
-
-
 # ---------------------------------------------------------------------------
 # exhaustive propositional enumeration
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from . import seqcode
-from .baire import BaireElement, Tabled
+from .baire import Tabled
 from .errors import BairelabError
 from .machine import (
     Diverges,
@@ -110,37 +110,6 @@ def _halts_within(program: OracleProgram, x: int, alpha: object, bound: int) -> 
     except MalformedProgramError:
         return False
     return result is not None and result.trace <= bound
-
-
-def not_a(s: int, alpha: object, h: HaltingInfo) -> bool:
-    """Is s a correct prefix record of alpha's jump sequence?
-
-    True iff s is a sequence number whose even slots equal alpha(k) and
-    whose odd slots report machine k's certified diagonal behaviour:
-    0 when it diverges, least-trace-plus-one when it halts.
-    """
-    entries = seqcode.decode(s)
-    if entries is None:
-        return False
-    for j in range(1, len(entries), 2):
-        k = (j - 1) // 2
-        if (k, k) not in h:
-            raise MissingCertificateError(f"no halting certificate for machine {k}")
-    q = oracle_fn(alpha)
-    for j, v in enumerate(entries):
-        if j % 2 == 0:
-            if v != q(j // 2):
-                return False
-            continue
-        k = (j - 1) // 2
-        match h[(k, k)]:
-            case Halts(trace, _):
-                if v != trace + 1:
-                    return False
-            case Diverges(_):
-                if v != 0:
-                    return False
-    return True
 
 
 def build_beta(alpha: object, h: HaltingInfo, upto: int) -> Tabled:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import BairelabError
@@ -176,7 +176,6 @@ def unpack_trace(y: int) -> Optional[tuple[int, tuple[Config, ...]]]:
 class RunResult:
     trace: int
     output: int
-    steps: int
 
 
 def _step(ins: Instr, pc: int, regs: list[int], pending: int) -> int:
@@ -244,7 +243,7 @@ def run(
     if halted is None:
         return None
     configs, output = halted
-    return RunResult(pack_trace(program.num_registers, configs), output, len(configs))
+    return RunResult(pack_trace(program.num_registers, configs), output)
 
 
 def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
@@ -383,13 +382,6 @@ def assemble(text: str) -> tuple[Instr, ...]:
             args = [args[0], str(labels[args[1]])]
         out.append(cls(*(int(a) for a in args)))
     return tuple(out)
-
-
-def format_program(program: OracleProgram) -> str:
-    names = {cls: op for op, cls in _MNEMONICS.items()}
-    return ", ".join(
-        " ".join([names[type(ins)], *map(str, astuple(ins))]) for ins in program.instructions
-    )
 
 
 @dataclass(frozen=True)

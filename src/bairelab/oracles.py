@@ -99,7 +99,8 @@ def _prove(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    memo[key] = False  # cycles count as failure; G4ip terminates anyway
+    # G4ip premises are strictly smaller than their conclusion, so no goal
+    # is re-entered while it is being proved and nothing provisional is stored
     out = _prove_raw(gamma, goal, memo)
     memo[key] = out
     return out

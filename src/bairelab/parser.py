@@ -58,7 +58,6 @@ from .syntax import (
     SeqExt,
     Succ,
     Term,
-    Zero,
     numeral,
     tree_depth,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BairelabError
+from .parser import MAX_DEPTH
 
 
 @dataclass(frozen=True)
@@ -64,34 +65,22 @@ def atoms_of(f: PropFormula) -> frozenset[str]:
             raise TypeError(f"not a propositional formula: {f!r}")
 
 
-def format_prop(f: PropFormula, prec: int = 0) -> str:
-    # precedence: -> 1 (right assoc), | 2, & 3, ~ 4
-    match f:
-        case PAtom(name):
-            return name
-        case PBot():
-            return "bot"
-        case PImp(a, b):
-            s = f"{format_prop(a, 2)} -> {format_prop(b, 1)}"
-            return f"({s})" if prec > 1 else s
-        case POr(a, b):
-            s = f"{format_prop(a, 2)} | {format_prop(b, 3)}"
-            return f"({s})" if prec > 2 else s
-        case PAnd(a, b):
-            s = f"{format_prop(a, 3)} & {format_prop(b, 4)}"
-            return f"({s})" if prec > 3 else s
-        case PNot(a):
-            return f"~{format_prop(a, 4)}"
-        case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
-
-
 class PropParseError(BairelabError):
     pass
 
 
+def _depth(f: PropFormula) -> int:
+    """Levels in the tree, counted level by level without recursion."""
+    level, depth = [f], 0
+    while level:
+        depth += 1
+        level = [k for n in level for k in vars(n).values() if isinstance(k, PropFormula)]
+    return depth
+
+
 def parse_prop(src: str) -> PropFormula:
-    """Parse `~ & | ->` over lower-case atoms; `bot` is falsum."""
+    """Parse `~ & | ->` over lower-case atoms; `bot` is falsum.  Like
+    parse_formula, it refuses nesting deeper than MAX_DEPTH levels."""
     toks: list[str] = []
     i = 0
     while i < len(src):
@@ -114,6 +103,7 @@ def parse_prop(src: str) -> PropFormula:
             raise PropParseError(f"unexpected character {c!r} at offset {i}")
     toks.append("<eof>")
     pos = [0]
+    depth = [0]  # nesting levels open at pos
 
     def peek() -> str:
         return toks[pos[0]]
@@ -123,11 +113,18 @@ def parse_prop(src: str) -> PropFormula:
             raise PropParseError(f"expected {t!r}, got {peek()!r}")
         pos[0] += 1
 
+    def enter() -> None:
+        depth[0] += 1
+        if depth[0] > MAX_DEPTH:
+            raise PropParseError(f"nesting deeper than {MAX_DEPTH} levels")
+
     def p_imp() -> PropFormula:
+        enter()
         a = p_or()
         if peek() == "->":
             take("->")
-            return PImp(a, p_imp())
+            a = PImp(a, p_imp())
+        depth[0] -= 1
         return a
 
     def p_or() -> PropFormula:
@@ -147,7 +144,10 @@ def parse_prop(src: str) -> PropFormula:
     def p_neg() -> PropFormula:
         if peek() == "~":
             take("~")
-            return PNot(p_neg())
+            enter()
+            a = PNot(p_neg())
+            depth[0] -= 1
+            return a
         return p_atom()
 
     def p_atom() -> PropFormula:
@@ -168,4 +168,7 @@ def parse_prop(src: str) -> PropFormula:
     f = p_imp()
     if peek() != "<eof>":
         raise PropParseError(f"trailing input at {peek()!r}")
+    levels = _depth(f)
+    if levels > MAX_DEPTH:
+        raise PropParseError(f"formula nests {levels} levels deep; the limit is {MAX_DEPTH}")
     return f

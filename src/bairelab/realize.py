@@ -110,23 +110,6 @@ def apply_element(alpha: object, beta: object, fuel: int) -> BaireElement:
     return _Fn(at)
 
 
-def prefix_reader(k: int, fn) -> BaireElement:
-    """An element that answers once the argument prefix holds k values.
-
-    Models a continuous functional with modulus exactly k: on the code
-    of [n, b0, ..., b_{j-1}] it returns 0 while j < k, and
-    fn(n, (b0..b_{k-1})) + 1 afterwards.
-    """
-
-    def at(s: int) -> int:
-        entries = seqcode.decode(s)
-        if entries is None or len(entries) < 1 + k:
-            return 0
-        return fn(entries[0], tuple(entries[1 : 1 + k])) + 1
-
-    return _Fn(at)
-
-
 # --- evaluation of closed terms over an environment -------------------------
 
 Env = dict[str, object]  # naturals, BaireElements, or range lists
@@ -204,26 +187,12 @@ def _truth(f: Formula, env: Env, fuel: int) -> Optional[bool]:
             return _kleene_not(_kleene_and(_truth(a, env, fuel), _kleene_not(_truth(b, env, fuel))))
         case Not(a):
             return _kleene_not(_truth(a, env, fuel))
-        case ForallN(var, body):
-            values = _num_range(env, var)
+        case ForallN() | ExistsN() | BForallN() | BExistsN() | ForallF() | ExistsF():
+            universal = isinstance(f, (ForallN, BForallN, ForallF))
+            values = _values(f, env, fuel)
             if values is None:
-                return _search(body, var, env, fuel, expect=False)
-            return _sweep(body, var, values, env, fuel, universal=True)
-        case ExistsN(var, body):
-            values = _num_range(env, var)
-            if values is None:
-                return _search(body, var, env, fuel, expect=True)
-            return _sweep(body, var, values, env, fuel, universal=False)
-        case BForallN(var, bound, body):
-            values = range(eval_term(bound, env, fuel))
-            return _sweep(body, var, values, env, fuel, universal=True)
-        case BExistsN(var, bound, body):
-            values = range(eval_term(bound, env, fuel))
-            return _sweep(body, var, values, env, fuel, universal=False)
-        case ForallF(var, body):
-            return _sweep(body, var, _fun_range(env, var), env, fuel, universal=True)
-        case ExistsF(var, body):
-            return _sweep(body, var, _fun_range(env, var), env, fuel, universal=False)
+                return _search(f.body, f.var, env, fuel, expect=not universal)
+            return _sweep(f.body, f.var, values, env, fuel, universal)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -239,20 +208,27 @@ def _kleene_not(a: Optional[bool]) -> Optional[bool]:
     return None if a is None else not a
 
 
+def _values(f: Formula, env: Env, fuel: int):
+    """What quantifier f's variable ranges over: the range below f's
+    bound, a range from env, None for a number variable env gives none."""
+    match f:
+        case BForallN(_, bound, _) | BExistsN(_, bound, _):
+            return range(eval_term(bound, env, fuel))
+        case ForallN(var, _) | ExistsN(var, _):
+            return _num_range(env, var)
+    value = env.get(f.var)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, BaireElement):
+        return [value]
+    raise FragmentError(f"function quantifier over {f.var} needs a finite range in env")
+
+
 def _num_range(env: Env, var: str):
     value = env.get(var)
     if isinstance(value, (list, tuple)):
         return value
     return None
-
-
-def _fun_range(env: Env, var: str) -> list:
-    value = env.get(var)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    if isinstance(value, BaireElement):
-        return [value]
-    raise FragmentError(f"function quantifier over {var} needs a finite range in env")
 
 
 def _search(
@@ -352,9 +328,7 @@ def _canonical_realizer(f: Formula, env: Env, fuel: int) -> BaireElement:
     what drives the conclusion side of an implication check.
     """
     match f:
-        case Eq(_, _) | Not(_) | Imp(_, _) | ForallN(_, _) | ForallF(_, _):
-            return _ZERO_ELEMENT
-        case BForallN(_, _, _):
+        case Eq() | Not() | Imp() | ForallN() | BForallN() | ForallF():
             return _ZERO_ELEMENT
         case And(a, b):
             return _pack_pair(
@@ -431,54 +405,30 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
                     Status.FUEL_EXHAUSTED, note="negated matrix not settled within fuel"
                 )
             return Verdict(Status.REALIZED if ta is False else Status.NOT_REALIZED)
-        case ExistsN(var, body):
+        case ExistsN(var, body) | BExistsN(var, _, body):
             w = r.at(0)
-            inner = _check(_tail_of(r), body, {**env, var: w}, fuel)
-            if inner.status is Status.REALIZED:
-                return Verdict(Status.REALIZED, witness=w)
-            return Verdict(inner.status, note=f"at witness {w}; " + inner.note)
-        case BExistsN(var, bound, body):
-            w = r.at(0)
-            if w >= eval_term(bound, env, fuel):
+            if isinstance(f, BExistsN) and w >= eval_term(f.bound, env, fuel):
                 return Verdict(Status.NOT_REALIZED, note=f"witness {w} out of bound")
             inner = _check(_tail_of(r), body, {**env, var: w}, fuel)
             if inner.status is Status.REALIZED:
                 return Verdict(Status.REALIZED, witness=w)
             return Verdict(inner.status, note=f"at witness {w}; " + inner.note)
-        case ForallN(var, body):
-            values = _num_range(env, var)
+        case ForallN(var, body) | BForallN(var, _, body) | ForallF(var, body):
+            values = _values(f, env, fuel)
             if values is None:
                 raise FragmentError(
                     f"universal number quantifier over {var} needs a range in env"
                 )
+            fun = isinstance(f, ForallF)
             return _merge(
                 [
                     _checked(
-                        apply_element(r, _constant(v), fuel),
+                        apply_element(r, v if fun else _constant(v), fuel),
                         body,
                         {**env, var: v},
                         fuel,
                     )
                     for v in values
-                ]
-            )
-        case BForallN(var, bound, body):
-            return _merge(
-                [
-                    _checked(
-                        apply_element(r, _constant(v), fuel),
-                        body,
-                        {**env, var: v},
-                        fuel,
-                    )
-                    for v in range(eval_term(bound, env, fuel))
-                ]
-            )
-        case ForallF(var, body):
-            return _merge(
-                [
-                    _checked(apply_element(r, e, fuel), body, {**env, var: e}, fuel)
-                    for e in _fun_range(env, var)
                 ]
             )
         case ExistsF(var, body):
@@ -536,20 +486,17 @@ def _embed_num(e: Functor, var: str) -> Functor:
     return ContApply(e, Lambda(k, NumVar(var)))
 
 
-def _rebind_num(var: str, body: Formula, e: Functor) -> tuple[str, Formula]:
-    nums, _ = free_vars(e)
-    if var in nums:
-        fresh = _fresh(var, nums | free_vars(body)[0])
-        return fresh, subst_num(body, var, NumVar(fresh))
-    return var, body
-
-
-def _rebind_fun(var: str, body: Formula, e: Functor) -> tuple[str, Formula]:
-    _, funs = free_vars(e)
-    if var in funs:
-        fresh = _fresh(var, funs | free_vars(body)[1])
+def _rebind(var: str, body: Formula, e: Functor) -> tuple[str, Formula]:
+    # rename a binder of either sort that would capture a variable free
+    # in e; free_vars gives (number names, function names)
+    sort = 1 if var.startswith("@") else 0
+    taken = free_vars(e)[sort]
+    if var not in taken:
+        return var, body
+    fresh = _fresh(var, taken | free_vars(body)[sort])
+    if sort:
         return fresh, subst_fun(body, var, FnVar(fresh))
-    return var, body
+    return fresh, subst_num(body, var, NumVar(fresh))
 
 
 _FALSE_ATOM = Eq(Zero(), Succ(Zero()))
@@ -583,22 +530,22 @@ def _tr(e: Functor, f: Formula, avoid: frozenset[str]) -> Formula:
             d = _fresh("@d", avoid | free_vars(f)[1])
             return ForallF(d, Imp(_tr(FnVar(d), a, avoid | {d}), _FALSE_ATOM))
         case ForallN(var, body):
-            var, body = _rebind_num(var, body, e)
+            var, body = _rebind(var, body, e)
             return ForallN(var, _tr(_embed_num(e, var), body, avoid))
         case ExistsN(var, body):
             translated = _tr(_tail_functor(e), body, avoid)
             return subst_num(translated, var, _head_term(e))
         case BForallN(var, bound, body):
-            var, body = _rebind_num(var, body, e)
+            var, body = _rebind(var, body, e)
             return BForallN(var, bound, _tr(_embed_num(e, var), body, avoid))
         case BExistsN(var, bound, body):
-            var, body = _rebind_num(var, body, e)
+            var, body = _rebind(var, body, e)
             pinned = Eq(NumVar(var), _head_term(e))
             return BExistsN(
                 var, bound, And(pinned, _tr(_tail_functor(e), body, avoid))
             )
         case ForallF(var, body):
-            var, body = _rebind_fun(var, body, e)
+            var, body = _rebind(var, body, e)
             return ForallF(var, _tr(ContApply(e, FnVar(var)), body, avoid | {var}))
         case ExistsF(var, body):
             translated = _tr(_proj(e, 1), body, avoid)

@@ -106,10 +106,6 @@ def decode(n: int) -> list[int] | None:
     return out
 
 
-def is_seqnum(n: int) -> bool:
-    return decode(n) is not None
-
-
 def _entries(n: int) -> list[int]:
     """decode(n), refusing an n that codes nothing."""
     d = decode(n)
@@ -121,14 +117,6 @@ def _entries(n: int) -> list[int]:
 def lh(n: int) -> int:
     """Length of the coded sequence."""
     return len(_entries(n))
-
-
-def proj(n: int, i: int) -> int:
-    """Entry i of the coded sequence."""
-    d = _entries(n)
-    if not 0 <= i < len(d):
-        raise SeqCodeError(f"index {i} out of range for length {len(d)}")
-    return d[i]
 
 
 def concat(a: int, b: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:

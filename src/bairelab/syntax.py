@@ -413,7 +413,7 @@ def _fresh(base: str, avoid: frozenset[str]) -> str:
 # ---------------------------------------------------------------------------
 # substitution
 #
-# One engine serves all three public entry points.  env maps variable names
+# One engine serves both public entry points.  env maps variable names
 # (number names plain, function names with the @) to replacement nodes;
 # avoid holds the names a renamed binder must dodge.
 
@@ -455,15 +455,6 @@ def subst_fun(node: Node, var: str, replacement: Functor) -> Node:
     """Substitute a functor for a free function variable, avoiding capture."""
     check_fun_name(var)
     return _subst(node, {var: replacement}, frozenset(_free_names(replacement)))
-
-
-def subst_term(node: Node, mapping: dict[str, Node]) -> Node:
-    """Simultaneous substitution; keys are variable names of either sort."""
-    for k, v in mapping.items():
-        fun = isinstance(_var(k), FnVar)  # checks the name, too
-        if not isinstance(v, Functor if fun else Term):
-            raise SortError(f"{k} must map to a {'functor' if fun else 'term'}")
-    return _subst(node, dict(mapping), _ranging_names(mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +519,3 @@ def _canon(node: Node, skip: frozenset[str]) -> tuple[Node, set[str], set[str]]:
         return rebuild(n, (*outer, go(kids[-1], {**env, n.var: v2})), v2)
 
     return go(node, {}), free, given
-
-
-# ---------------------------------------------------------------------------
-# beta reduction of functor applications
-
-
-def lambda_reduce(node: Node) -> Node:
-    """Contract every (lam x. t)(s) redex, bottom up, until none remain.
-
-    Functors are first order (bodies are number terms), so this terminates.
-    """
-    out = rebuild(node, tuple([lambda_reduce(k) for k in children(node)]))
-    if isinstance(out, Apply) and isinstance(out.fn, Lambda):
-        return lambda_reduce(subst_num(out.fn.body, out.fn.var, out.arg))
-    return out

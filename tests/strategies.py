@@ -1,8 +1,14 @@
-"""Hypothesis strategies for syntax trees, drawing both sorts of binder."""
+"""Generators for the tests: hypothesis strategies for syntax trees,
+drawing both sorts of binder, and a seeded generator and a printer for
+propositional formulas."""
+
+import random
+from collections.abc import Sequence
 
 from hypothesis import strategies as st
 
 from bairelab.gen import FUN_POOL, NUM_POOL
+from bairelab.prop import PAnd, PAtom, PBot, PImp, PNot, POr, PropFormula
 from bairelab.syntax import (
     Add,
     And,
@@ -96,3 +102,41 @@ def formulas(
         )
 
     return st.recursive(atoms, extend, max_leaves=10)
+
+
+def random_prop(rng: random.Random, depth: int, atoms: Sequence[str] = ("p", "q", "r")) -> PropFormula:
+    if depth <= 0:
+        return PAtom(rng.choice(list(atoms)))
+    match rng.randrange(5):
+        case 0:
+            return PAnd(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+        case 1:
+            return POr(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+        case 2:
+            return PImp(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+        case 3:
+            return PNot(random_prop(rng, depth - 1, atoms))
+        case _:
+            return PAtom(rng.choice(list(atoms)))
+
+
+def format_prop(f: PropFormula, prec: int = 0) -> str:
+    # precedence: -> 1 (right assoc), | 2, & 3, ~ 4
+    match f:
+        case PAtom(name):
+            return name
+        case PBot():
+            return "bot"
+        case PImp(a, b):
+            s = f"{format_prop(a, 2)} -> {format_prop(b, 1)}"
+            return f"({s})" if prec > 1 else s
+        case POr(a, b):
+            s = f"{format_prop(a, 2)} | {format_prop(b, 3)}"
+            return f"({s})" if prec > 2 else s
+        case PAnd(a, b):
+            s = f"{format_prop(a, 3)} & {format_prop(b, 4)}"
+            return f"({s})" if prec > 3 else s
+        case PNot(a):
+            return f"~{format_prop(a, 4)}"
+        case _:
+            raise TypeError(f"not a propositional formula: {f!r}")

@@ -227,6 +227,42 @@ def test_oracle_ipc_machine_form():
     assert (code, out) == (0, "provable=true\n")
 
 
+@pytest.mark.parametrize(
+    "src, ipc, classical",
+    [  # MAX_DEPTH - 1 connectives nest MAX_DEPTH levels
+        ("~" * (MAX_DEPTH - 1) + "p", "not provable", "not valid"),
+        (" -> ".join(["p"] * MAX_DEPTH), "provable", "valid"),
+        (" & ".join(["p"] * MAX_DEPTH), "not provable", "not valid"),
+    ],
+    ids=["not", "imp", "and"],
+)
+def test_oracle_accepts_nesting_up_to_the_limit(src, ipc, classical):
+    code, out, err = run("oracle", "ipc", src)
+    assert (code, out.splitlines()[0], err) == (0, ipc, "")
+    assert run("oracle", "classical", src) == (0, classical + "\n", "")
+
+
+@pytest.mark.parametrize("oracle", ["ipc", "classical"])
+@pytest.mark.parametrize(
+    "src",
+    [
+        "~" * MAX_DEPTH + "p",
+        "~" * 400 + "p",
+        " -> ".join(["p"] * (MAX_DEPTH + 1)),
+        " -> ".join(["p"] * 600),
+        " & ".join(["p"] * (MAX_DEPTH + 1)),
+        " & ".join(["p"] * 2000),
+        _nested("(", "p", ")", MAX_DEPTH),
+    ],
+    ids=["not-over", "not-400", "imp-over", "imp-600", "and-over", "and-2000", "parens-over"],
+)
+def test_oracle_refuses_nesting_over_the_limit(src, oracle):
+    code, out, err = run("oracle", oracle, src)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"{MAX_DEPTH}" in err
+    assert "Traceback" not in err
+
+
 # --- realizability -----------------------------------------------------------
 
 
@@ -337,6 +373,33 @@ def test_parse_element_file_specs(tmp_path):
     loaded = parse_element(f"file:{tab_path}")
     assert isinstance(loaded, Tabled)
     assert (loaded.at(0), loaded.at(5)) == (4, 1)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2],
+        "zero",
+        {"prefix": 5},
+        {"prefix": ["a"]},
+        {"prefix": [1.5, 2]},
+        {"prefix": [1], "default": True},
+        {"overrides": 5},
+        {"overrides": [[1]]},
+        {"overrides": [[1, "a"]]},
+        {"default": 1.5},
+    ],
+    ids=[
+        "list", "string", "prefix-int", "prefix-str", "prefix-float", "default-bool",
+        "overrides-int", "overrides-short", "overrides-str", "default-float",
+    ],
+)
+def test_file_element_must_be_an_object_of_integers(tmp_path, data):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run("jump", "run", "1", "--alpha", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "JSON" in err
 
 
 def test_parse_env_forms():

@@ -15,7 +15,6 @@ from bairelab.jump import (
     bar_recurse,
     bar_verify,
     build_beta,
-    not_a,
     rho,
     oracle_rho,
     _halts_within,
@@ -84,23 +83,6 @@ def test_rho_uses_packaged_registry_by_default():
     alpha = FiniteSupport(((0, 2),), default=0)
     assert rho(seqcode.encode([2]), alpha) == 1
     assert rho(seqcode.encode([3]), alpha) == 0
-
-
-def test_not_a_spec_points():
-    alpha = FiniteSupport(((0, 4),), default=1)
-    h = {(0, 0): Halts(Y_HALT_NOW, 0)}
-    assert not_a(1, alpha, h)
-    assert not_a(seqcode.encode([alpha.at(0)]), alpha, h)
-    assert not not_a(seqcode.encode([alpha.at(0), 0]), alpha, h)
-    assert not_a(seqcode.encode([alpha.at(0), Y_HALT_NOW + 1]), alpha, h)
-    assert not not_a(seqcode.encode([9]), alpha, h)
-    assert not not_a(6, alpha, h)  # decodes to [0, 0]: even slot wrong
-    assert not not_a(0, alpha, h)  # not a sequence number
-
-
-def test_not_a_requires_certificates():
-    with pytest.raises(MissingCertificateError):
-        not_a(seqcode.encode([0, 0, 0, 0]), ZERO, {(0, 0): Halts(Y_HALT_NOW, 0)})
 
 
 def test_build_beta_small():

@@ -27,7 +27,7 @@ from bairelab.syntax import (
 
 import pytest
 
-from strategies import formulas, terms
+from strategies import formulas, random_prop, terms
 
 
 def g(src: str) -> Formula:
@@ -96,7 +96,7 @@ def test_stability_of_translated_formulas_at_propositional_scale():
     assert count == 282
     rng = random.Random(20260814)
     for _ in range(60):
-        f = gen.random_prop(rng, depth=4)
+        f = random_prop(rng, depth=4)
         tf = project_prop(neg_translate(embed_prop(f)))
         assert ipc_provable(PImp(PNot(PNot(tf)), tf)), f
 

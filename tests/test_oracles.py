@@ -21,9 +21,10 @@ from bairelab.prop import (
     PImp,
     PNot,
     POr,
-    format_prop,
     parse_prop,
 )
+
+from strategies import format_prop, random_prop
 
 P, Q, R = PAtom("p"), PAtom("q"), PAtom("r")
 LEM = POr(P, PNot(P))
@@ -66,7 +67,7 @@ def test_ipc_known():
 def test_ipc_implies_classical():
     rng = random.Random(99)
     for _ in range(200):
-        f = gen.random_prop(rng, depth=4)
+        f = random_prop(rng, depth=4)
         if ipc_provable(f):
             assert classical_valid(f)
 
@@ -74,7 +75,7 @@ def test_ipc_implies_classical():
 def test_glivenko():
     rng = random.Random(7)
     for _ in range(200):
-        f = gen.random_prop(rng, depth=4)
+        f = random_prop(rng, depth=4)
         assert classical_valid(f) == ipc_provable(PNot(PNot(f)))
 
 
@@ -82,7 +83,7 @@ def test_kripke_cross_check():
     cases = [LEM, PEIRCE, PImp(PNot(PNot(P)), P), PImp(P, P), PNot(PNot(LEM)),
              PImp(PNot(PAnd(P, Q)), POr(PNot(P), PNot(Q)))]
     rng = random.Random(13)
-    cases += [gen.random_prop(rng, depth=3) for _ in range(40)]
+    cases += [random_prop(rng, depth=3) for _ in range(40)]
     for f in cases:
         provable = ipc_provable(f)
         model = kripke_countermodel(f, max_worlds=3)
@@ -111,7 +112,7 @@ def test_atom_budget():
 def test_embed_project_roundtrip():
     rng = random.Random(3)
     for _ in range(100):
-        f = gen.random_prop(rng, depth=4)
+        f = random_prop(rng, depth=4)
         assert project_prop(embed_prop(f)) == f
     assert project_prop(embed_prop(PBot())) == PBot()
 
@@ -131,5 +132,5 @@ def test_translation_oracle_agreement_small():
 @given(st.integers(0, 2**30))
 def test_glivenko_hypothesis_seeded(seed):
     rng = random.Random(seed)
-    f = gen.random_prop(rng, depth=5)
+    f = random_prop(rng, depth=5)
     assert classical_valid(f) == ipc_provable(PNot(PNot(f)))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bairelab import seqcode
-from bairelab.baire import FiniteSupport, FuelExhausted
+from bairelab.baire import BaireElement, FiniteSupport, FuelExhausted, _Fn
 from bairelab.parser import parse_formula
 from bairelab.printer import format_formula
 from bairelab.realize import (
@@ -22,7 +22,6 @@ from bairelab.realize import (
     k2_apply,
     k2_apply_info,
     mp_realizer,
-    prefix_reader,
     realizes_transform,
 )
 from bairelab.schemas import FreshnessError, SchemaKind, instantiate
@@ -42,6 +41,23 @@ from bairelab.syntax import (
 
 ZERO = FiniteSupport()
 ONE = FiniteSupport((), 1)
+
+
+def prefix_reader(k: int, fn) -> BaireElement:
+    """An element that answers once the argument prefix holds k values.
+
+    Models a continuous functional with modulus exactly k: on the code
+    of [n, b0, ..., b_{j-1}] it returns 0 while j < k, and
+    fn(n, (b0..b_{k-1})) + 1 afterwards.
+    """
+
+    def at(s: int) -> int:
+        entries = seqcode.decode(s)
+        if entries is None or len(entries) < 1 + k:
+            return 0
+        return fn(entries[0], tuple(entries[1 : 1 + k])) + 1
+
+    return _Fn(at)
 
 
 def reader(k):
@@ -211,6 +227,117 @@ def test_check_universals_need_ranges():
     assert check_realizes(ZERO, g, {"@b": ONE}).status is Status.REALIZED
     with pytest.raises(FragmentError):
         check_realizes(ZERO, g)
+
+
+ALPHA = FiniteSupport(((1, 3),), 0)  # zero except at 1
+LATE = FiniteSupport(((0, 1), (1, 1)), 0)  # first zero at 2
+STARVED = apply_element(ZERO, ONE, 10)  # raises FuelExhausted when read
+
+
+def witness(w):
+    return FiniteSupport(((0, w),), 0)
+
+
+R, N, F = Status.REALIZED, Status.NOT_REALIZED, Status.FUEL_EXHAUSTED
+NO_NUM_RANGE = "universal number quantifier over x needs a range in env"
+NO_FUN_RANGE = "function quantifier over @b needs a finite range in env"
+NO_BOUND = "number variable n needs a natural in env"
+STARVED_NOTE = "application undefined at 0 within fuel 10"
+
+# Every quantifier class, checked (first block) and decided by truth
+# under ~ and -> (second block), with its range from env, from nowhere,
+# from a bound or from a function range.  Each case is (realizer,
+# formula, env, expected), expected being (status, witness, note) or the
+# message of the FragmentError the check raises.  All at fuel 20.
+QUANTIFIER_CASES = [
+    # forall x: a range in env, none, and realizers applied per value
+    (ZERO, "forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 2]}, (R, None, "")),
+    (ZERO, "forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 1, 2]}, (N, None, "")),
+    (ZERO, "forall x. x = x", {}, NO_NUM_RANGE),
+    (ZERO, "forall x. x = x", {"x": ONE}, NO_NUM_RANGE),
+    (ONE, "forall x. exists y. y = x", {"x": [0]}, (R, 0, "")),
+    (ONE, "forall x. exists y. y = x", {"x": [0, 1]}, (N, None, "at witness 0; ")),
+    (ZERO, "forall x. exists y. y = x", {"x": [0]}, (F, None, "application undefined at 0 within fuel 20")),
+    # forall x < t: the bound, never a range in env
+    (ZERO, "forall x < 1. @a(x) = 0", {"@a": ALPHA}, (R, None, "")),
+    (ZERO, "forall x < 2. @a(x) = 0", {"@a": ALPHA}, (N, None, "")),
+    (ZERO, "forall x < 1. @a(x) = 0", {"@a": ALPHA, "x": [1]}, (R, None, "")),
+    (ZERO, "forall x < 0. 0 = S(0)", {}, (R, None, "")),
+    (ZERO, "forall x < n. exists y. y = x", {}, NO_BOUND),
+    (ONE, "forall x < 1. exists y. y = x", {}, (R, 0, "")),
+    (ONE, "forall x < 2. exists y. y = x", {}, (N, None, "at witness 0; ")),
+    # forall @b: a function range, a single element, none
+    (ZERO, "forall @b. @b(0) = 0", {"@b": [ZERO]}, (R, None, "")),
+    (ZERO, "forall @b. @b(0) = 0", {"@b": ZERO}, (R, None, "")),
+    (ZERO, "forall @b. @b(0) = 0", {"@b": [ZERO, ONE]}, (N, None, "")),
+    (ZERO, "forall @b. @b(0) = 0", {}, NO_FUN_RANGE),
+    (ZERO, "forall @b. @b(0) = 0", {"@b": 3}, NO_FUN_RANGE),
+    (reader(1), "forall @b. exists y. y = @b(0)", {"@b": [witness(4)]}, (R, 4, "")),
+    # exists x: the witness at 0, whatever env says about x
+    (witness(2), "exists x. @a(x) = 0", {"@a": ALPHA, "x": [0]}, (R, 2, "")),
+    (witness(1), "exists x. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1; ")),
+    (STARVED, "exists x. x = x", {}, (F, None, STARVED_NOTE)),
+    # exists x < t: the witness read before the bound is evaluated
+    (witness(2), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (R, 2, "")),
+    (witness(1), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1; ")),
+    (witness(3), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (N, None, "witness 3 out of bound")),
+    (witness(1), "exists x < 3. exists y < 2. y = x", {}, (N, None, "at witness 1; at witness 0; ")),
+    (STARVED, "exists x < n. x = x", {}, (F, None, STARVED_NOTE)),
+    (ZERO, "exists x < n. x = x", {}, NO_BOUND),
+    # exists @b: the witness is component 0
+    (ZERO, "exists @b. @b(0) = 0", {}, (R, None, "function witness; ")),
+    (ONE, "exists @b. @b(0) = 0", {}, (N, None, "function witness; ")),
+    # --- decided by truth, under ~ ---
+    (ZERO, "~ forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 2]}, (N, None, "")),
+    (ZERO, "~ forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 1]}, (R, None, "")),
+    (ZERO, "~ forall x. @a(x) = 0", {"@a": ALPHA}, (R, None, "")),
+    (ZERO, "~ forall x. x = x", {}, (F, None, "negated matrix not settled within fuel")),
+    (ZERO, "~ forall x. forall y. x = x", {"x": [0, 1]}, (F, None, "negated matrix not settled within fuel")),
+    (ZERO, "~ forall x. (forall y. y = y) & x = 0", {"x": [0, 1]}, (R, None, "")),
+    (ZERO, "~ exists x. @a(x) = 3", {"@a": ALPHA, "x": [0, 2]}, (R, None, "")),
+    (ZERO, "~ exists x. @a(x) = 3", {"@a": ALPHA, "x": [1]}, (N, None, "")),
+    (ZERO, "~ exists x. @a(x) = 3", {"@a": ALPHA}, (N, None, "")),
+    (ZERO, "~ exists x. x = S(x)", {}, (F, None, "negated matrix not settled within fuel")),
+    (ZERO, "~ forall x < 1. @a(x) = 0", {"@a": ALPHA}, (N, None, "")),
+    (ZERO, "~ forall x < 3. @a(x) = 0", {"@a": ALPHA, "x": [0]}, (R, None, "")),
+    (ZERO, "~ forall x < n. x = x", {}, NO_BOUND),
+    (ZERO, "~ exists x < 2. @a(x) = 3", {"@a": ALPHA}, (N, None, "")),
+    (ZERO, "~ exists x < 1. @a(x) = 3", {"@a": ALPHA, "x": [1]}, (R, None, "")),
+    (ZERO, "~ forall @b. @b(0) = 0", {"@b": [ZERO, ONE]}, (R, None, "")),
+    (ZERO, "~ forall @b. @b(0) = 0", {"@b": ZERO}, (N, None, "")),
+    (ZERO, "~ forall @b. @b(0) = 0", {}, NO_FUN_RANGE),
+    (ZERO, "~ exists @b. @b(0) = 1", {"@b": [ZERO, ONE]}, (N, None, "")),
+    (ZERO, "~ exists @b. @b(0) = 1", {"@b": [ZERO]}, (R, None, "")),
+    (ZERO, "~ exists @b. @b(0) = 1", {}, NO_FUN_RANGE),
+    # --- decided by truth, under -> ---
+    (ZERO, "(forall x. x = x) -> 0 = S(0)", {}, (F, None, "hypothesis not settled within fuel")),
+    (ZERO, "(exists x < 3. x = 5) -> 0 = S(0)", {}, (R, None, "hypothesis refuted")),
+    (ZERO, "(exists @b. @b(0) = 1) -> 0 = S(0)", {"@b": [ZERO]}, (R, None, "hypothesis refuted")),
+    (ZERO, "(forall x. exists y. y = x) -> 0 = S(0)", {"x": [0, 1]}, (N, None, "")),
+    # the hypothesis's canonical realizer, read back through reader(1)
+    (reader(1), "(forall x. x = x) -> exists y. y = 0", {"x": [0]}, (R, 0, "")),
+    (reader(1), "(forall x < 2. x = x) -> exists y. y = 0", {}, (R, 0, "")),
+    (reader(1), "(forall @b. @b(0) = 0) -> exists y. y = 0", {"@b": ZERO}, (R, 0, "")),
+    (reader(1), "0 = 0 -> exists y. y = 0", {}, (R, 0, "")),
+    (reader(1), "~(0 = S(0)) -> exists y. y = 0", {}, (R, 0, "")),
+    (reader(1), "(0 = 0 -> 0 = 0) -> exists y. y = 0", {}, (R, 0, "")),
+    (reader(1), "(exists @b. @b(0) = 0) -> 0 = 0", {"@b": ZERO}, "cannot synthesise a function witness"),
+    (reader(1), "(exists x. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE}, (R, 2, "")),
+    (reader(1), "(exists x. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE, "x": [3, 2]}, (R, 3, "")),
+    (reader(1), "(exists x < 5. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE}, (R, 2, "")),
+]
+
+
+@pytest.mark.parametrize("realizer, src, env, expected", QUANTIFIER_CASES)
+def test_check_quantifiers(realizer, src, env, expected):
+    f = parse_formula(src)
+    if isinstance(expected, str):
+        with pytest.raises(FragmentError) as exc:
+            check_realizes(realizer, f, env, fuel=20)
+        assert str(exc.value) == expected
+        return
+    verdict = check_realizes(realizer, f, env, fuel=20)
+    assert (verdict.status, verdict.witness, verdict.note) == expected
 
 
 def test_check_negation_unsettled_within_fuel():

@@ -13,10 +13,8 @@ from bairelab.seqcode import (
     decode,
     encode,
     extend,
-    is_seqnum,
     lh,
     prime,
-    proj,
 )
 
 
@@ -60,21 +58,11 @@ def test_decode_known_values():
     assert decode(7) is None
 
 
-def test_is_seqnum():
-    assert is_seqnum(1)
-    assert is_seqnum(6)
-    assert not is_seqnum(0)
-    assert not is_seqnum(5)
-
-
 def test_lh_proj():
     n = encode([4, 0, 7])
     assert lh(n) == 3
-    assert [proj(n, i) for i in range(3)] == [4, 0, 7]
     with pytest.raises(SeqCodeError):
         lh(5)
-    with pytest.raises(SeqCodeError):
-        proj(n, 3)
 
 
 def test_concat():

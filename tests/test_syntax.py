@@ -34,13 +34,11 @@ from bairelab.syntax import (
     canon,
     children,
     free_vars,
-    lambda_reduce,
     numeral,
     numeral_value,
     rebuild,
     subst_fun,
     subst_num,
-    subst_term,
     tree_depth,
 )
 
@@ -115,20 +113,6 @@ def test_subst_fun_capture():
     f = ForallF("@a", Eq(Apply(FnVar("@a"), Zero()), Apply(FnVar("@b"), Zero())))
     got = subst_fun(f, "@b", FnVar("@a"))
     assert got == ForallF("@a'", Eq(Apply(FnVar("@a'"), Zero()), Apply(FnVar("@a"), Zero())))
-
-
-def test_subst_term_simultaneous():
-    # simultaneous x:=y, y:=x swaps, which sequential substitution cannot do
-    f = Eq(NumVar("x"), NumVar("y"))
-    got = subst_term(f, {"x": NumVar("y"), "y": NumVar("x")})
-    assert got == Eq(NumVar("y"), NumVar("x"))
-
-
-def test_subst_term_sort_mismatch():
-    with pytest.raises(SortError):
-        subst_term(Eq(NumVar("x"), Zero()), {"x": FnVar("@a")})
-    with pytest.raises(SortError):
-        subst_term(Eq(NumVar("x"), Zero()), {"@a": NumVar("x")})
 
 
 def test_subst_bound_term_in_bounded_quantifier():
@@ -277,25 +261,6 @@ def test_tree_depth():
     for _ in range(5000):
         deep = Not(deep)
     assert tree_depth(deep) == 5002
-
-
-def test_lambda_reduce():
-    # (lam x. x + x)(3) -> 3 + 3
-    t = Apply(Lambda("x", Add(NumVar("x"), NumVar("x"))), numeral(3))
-    assert lambda_reduce(t) == Add(numeral(3), numeral(3))
-    # reduction happens under formula constructors too
-    f = Eq(Apply(Lambda("x", Mul(NumVar("x"), numeral(2))), NumVar("y")), Zero())
-    assert lambda_reduce(f) == Eq(Mul(NumVar("y"), numeral(2)), Zero())
-    # applied variable functors stay put
-    g = Eq(Apply(FnVar("@a"), Zero()), Zero())
-    assert lambda_reduce(g) == g
-
-
-def test_lambda_reduce_capture():
-    # (lam x. x + y)(x) must not capture the argument's free x
-    inner = Lambda("x", Add(NumVar("x"), NumVar("y")))
-    t = Apply(inner, NumVar("x"))
-    assert lambda_reduce(t) == Add(NumVar("x"), NumVar("y"))
 
 
 def test_connective_constructors_are_hashable():
