@@ -4,7 +4,14 @@ Three independent routes:
 
 - `classical_valid`: truth tables.
 - `ipc_provable`: contraction-free sequent search (Dyckhoff's G4ip), a
-  decision procedure for intuitionistic propositional logic.
+  decision procedure for intuitionistic propositional logic.  Each call
+  interns its formula's nodes (hash-consing): every (kind, left, right)
+  gets a small int id, and the nodes the left rules build, such as
+  a -> (b -> c), go through the same table.  A context is an int bitmask
+  of ids, so a premise is `rest | 1 << a` and the memo key `(context,
+  goal)` is a pair of ints.  Each id also sets a bit in one mask per rule
+  class (invertible left rules, atom -> c, (a -> b) -> c), so the next
+  invertible formula is the lowest set bit of `context & inv`.
 - `kripke_countermodel`: brute-force search for a small Kripke
   countermodel, used to cross-check refutations from the sequent search.
 
@@ -24,6 +31,8 @@ from .syntax import And, Eq, Formula, Imp, Not, NumVar, Or, Succ, Zero
 
 CLASSICAL_ATOM_BUDGET = 20
 IPC_ATOM_BUDGET = 12
+# 18,878 models cover every valuation of four atoms on up to three worlds
+KRIPKE_MODEL_BUDGET = 20_000
 
 
 class AtomBudgetError(BairelabError):
@@ -66,89 +75,128 @@ def classical_valid(f: PropFormula) -> bool:
 # intuitionistic provability: G4ip
 
 
-def _norm(f: PropFormula) -> PropFormula:
-    """Eliminate PNot in favour of implication into falsum."""
-    match f:
-        case PAtom(_) | PBot():
-            return f
-        case PAnd(a, b):
-            return PAnd(_norm(a), _norm(b))
-        case POr(a, b):
-            return POr(_norm(a), _norm(b))
-        case PImp(a, b):
-            return PImp(_norm(a), _norm(b))
-        case PNot(a):
-            return PImp(_norm(a), PBot())
-        case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
+_ATOM, _BOT, _AND, _OR, _IMP = range(5)
 
 
 def ipc_provable(f: PropFormula) -> bool:
-    if len(atoms_of(f)) > IPC_ATOM_BUDGET:
-        raise AtomBudgetError(f"too many atoms for the intuitionistic oracle")
-    memo: dict[tuple[frozenset[PropFormula], PropFormula], bool] = {}
-    return _prove(frozenset(), _norm(f), memo)
+    """Whether f is provable in intuitionistic propositional logic (G4ip)."""
+    # One intern table per call: each (kind, left, right) is a small int id,
+    # with kind, left and right lists indexed by id.  Leaves store names in
+    # left; PNot a is interned as a -> bot.
+    table: dict[tuple, int] = {}
+    kind: list[int] = []
+    left: list = []
+    right: list = []
+    # Rule class masks, set once per id: inv for the invertible left rules
+    # (and, or, bot->, (a&b)->, (a|b)->), aimp for atom->c, iimp for (a->b)->c.
+    inv = aimp = iimp = 0
 
+    def node(k: int, a, b) -> int:
+        nonlocal inv, aimp, iimp
+        n = len(kind)
+        i = table.setdefault((k, a, b), n)
+        if i == n:
+            kind.append(k)
+            left.append(a)
+            right.append(b)
+            if k == _AND or k == _OR:
+                inv |= 1 << i
+            elif k == _IMP:
+                ka = kind[a]
+                if ka == _ATOM:
+                    aimp |= 1 << i
+                elif ka == _IMP:
+                    iimp |= 1 << i
+                else:
+                    inv |= 1 << i
+        return i
 
-def _prove(
-    gamma: frozenset[PropFormula],
-    goal: PropFormula,
-    memo: dict[tuple[frozenset[PropFormula], PropFormula], bool],
-) -> bool:
-    key = (gamma, goal)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # G4ip premises are strictly smaller than their conclusion, so no goal
-    # is re-entered while it is being proved and nothing provisional is stored
-    out = _prove_raw(gamma, goal, memo)
-    memo[key] = out
-    return out
+    def intern(f: PropFormula) -> int:
+        t = type(f)
+        if t is PAtom:
+            return node(_ATOM, f.name, None)
+        if t is PNot:
+            return node(_IMP, intern(f.body), bot)
+        if t is PBot:
+            return bot
+        if t is PImp:
+            return node(_IMP, intern(f.left), intern(f.right))
+        if t is PAnd:
+            return node(_AND, intern(f.left), intern(f.right))
+        if t is POr:
+            return node(_OR, intern(f.left), intern(f.right))
+        raise TypeError(f"not a propositional formula: {f!r}")
 
+    bot = node(_BOT, None, None)
+    goal = intern(f)
+    if kind.count(_ATOM) > IPC_ATOM_BUDGET:
+        raise AtomBudgetError("too many atoms for the intuitionistic oracle")
+    memo: dict[tuple[int, int], bool] = {}
 
-def _prove_raw(gamma, goal, memo) -> bool:
-    # axioms
-    if goal in gamma or PBot() in gamma:
-        return True
+    def prove(g: int, goal: int) -> bool:
+        key = (g, goal)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        # G4ip premises are strictly smaller than their conclusion, so no
+        # goal is re-entered while it is being proved and nothing
+        # provisional is stored
+        out = memo[key] = prove_raw(g, goal)
+        return out
 
-    # invertible right rules
-    match goal:
-        case PAnd(a, b):
-            return _prove(gamma, a, memo) and _prove(gamma, b, memo)
-        case PImp(a, b):
-            return _prove(gamma | {a}, b, memo)
-
-    # invertible left rules, one at a time
-    for f in gamma:
-        rest = gamma - {f}
-        match f:
-            case PAnd(a, b):
-                return _prove(rest | {a, b}, goal, memo)
-            case POr(a, b):
-                return _prove(rest | {a}, goal, memo) and _prove(rest | {b}, goal, memo)
-            case PImp(PBot(), _):
-                return _prove(rest, goal, memo)
-            case PImp(PAtom(_) as p, c):
-                if p in gamma:
-                    return _prove(rest | {c}, goal, memo)
-            case PImp(PAnd(a, b), c):
-                return _prove(rest | {PImp(a, PImp(b, c))}, goal, memo)
-            case PImp(POr(a, b), c):
-                return _prove(rest | {PImp(a, c), PImp(b, c)}, goal, memo)
-
-    # choice points
-    if isinstance(goal, POr):
-        if _prove(gamma, goal.left, memo) or _prove(gamma, goal.right, memo):
+    def prove_raw(g: int, goal: int) -> bool:
+        # axioms
+        if g >> goal & 1 or g >> bot & 1:
             return True
-    for f in gamma:
-        match f:
-            case PImp(PImp(a, b), c):
-                rest = gamma - {f}
-                if _prove(rest | {PImp(b, c)}, PImp(a, b), memo) and _prove(
-                    rest | {c}, goal, memo
-                ):
-                    return True
-    return False
+
+        # invertible right rules
+        k = kind[goal]
+        if k == _AND:
+            return prove(g, left[goal]) and prove(g, right[goal])
+        if k == _IMP:
+            return prove(g | 1 << left[goal], right[goal])
+
+        # invertible left rules, one at a time, lowest id first
+        m = g & inv
+        if m:
+            low = m & -m
+            h = low.bit_length() - 1
+            rest = g ^ low
+            if kind[h] == _AND:
+                return prove(rest | 1 << left[h] | 1 << right[h], goal)
+            if kind[h] == _OR:
+                return prove(rest | 1 << left[h], goal) and prove(rest | 1 << right[h], goal)
+            a, c = left[h], right[h]
+            if kind[a] == _BOT:
+                return prove(rest, goal)
+            if kind[a] == _AND:
+                return prove(rest | 1 << node(_IMP, left[a], node(_IMP, right[a], c)), goal)
+            ac, bc = node(_IMP, left[a], c), node(_IMP, right[a], c)
+            return prove(rest | 1 << ac | 1 << bc, goal)
+        m = g & aimp
+        while m:
+            low = m & -m
+            h = low.bit_length() - 1
+            if g >> left[h] & 1:
+                return prove(g ^ low | 1 << right[h], goal)
+            m ^= low
+
+        # choice points
+        if k == _OR:
+            if prove(g, left[goal]) or prove(g, right[goal]):
+                return True
+        m = g & iimp
+        while m:
+            low = m & -m
+            h = low.bit_length() - 1
+            rest = g ^ low
+            ab, c = left[h], right[h]
+            if prove(rest | 1 << node(_IMP, right[ab], c), ab) and prove(rest | 1 << c, goal):
+                return True
+            m ^= low
+        return False
+
+    return prove(0, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +252,22 @@ def _upsets(size: int, order: frozenset[tuple[int, int]]):
 
 
 def kripke_countermodel(f: PropFormula, max_worlds: int = 3) -> KripkeModel | None:
-    """A model with a world not forcing f, if one exists at this size."""
+    """A model with a world not forcing f, if one is found at this size.
+
+    Models are tried smallest first, at most KRIPKE_MODEL_BUDGET of them.
+    With up to four atoms that covers every model on up to three worlds,
+    so None means no countermodel of that size exists; with more atoms
+    None may only mean the budget ran out first.
+    """
     names = sorted(atoms_of(f))
+    tried = 0
     for size in range(1, max_worlds + 1):
         for order in _preorders(size):
             ups = list(_upsets(size, order))
             for chosen in product(ups, repeat=len(names)):
+                if tried == KRIPKE_MODEL_BUDGET:
+                    return None
+                tried += 1
                 model = KripkeModel(size, order, dict(zip(names, chosen)))
                 if any(not model.forces(w, f) for w in range(size)):
                     return model

@@ -339,7 +339,7 @@ def _canonical_realizer(f: Formula, env: Env, fuel: int) -> BaireElement:
                 return _pack_head(0, _canonical_realizer(a, env, fuel))
             return _pack_head(1, _canonical_realizer(b, env, fuel))
         case ExistsN(var, body) | BExistsN(var, _, body):
-            values = _num_range(env, var)
+            values = _values(f, env, fuel)
             candidates = values if values is not None else range(fuel + 1)
             for w in candidates:
                 if _truth(body, {**env, var: w}, fuel) is True:

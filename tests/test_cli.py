@@ -222,6 +222,14 @@ def test_oracle_ipc_with_countermodel():
     assert any("p holds at:" in line for line in lines)
 
 
+def test_oracle_ipc_countermodel_search_is_bounded():
+    # 7 atoms: unbounded, three worlds would mean millions of models
+    start = time.monotonic()
+    code, out, err = run("oracle", "ipc", "p3 | (p3 -> (p2 | (p2 -> (p1 | ~p1)))) | (a & b & c & d)")
+    assert (code, out, err) == (0, "not provable\n", "")
+    assert time.monotonic() - start < 2
+
+
 def test_oracle_ipc_machine_form():
     code, out, _ = run("--machine", "oracle", "ipc", "p -> p")
     assert (code, out) == (0, "provable=true\n")

@@ -21,10 +21,113 @@ from bairelab.prop import (
     PImp,
     PNot,
     POr,
+    PropFormula,
     parse_prop,
 )
 
 from strategies import format_prop, random_prop
+
+
+# ---------------------------------------------------------------------------
+# reference prover: G4ip over frozenset contexts of formula objects, the
+# representation ipc_provable used before it moved to interned ids
+
+def _norm(f: PropFormula) -> PropFormula:
+    """Eliminate PNot in favour of implication into falsum."""
+    match f:
+        case PAtom(_) | PBot():
+            return f
+        case PAnd(a, b):
+            return PAnd(_norm(a), _norm(b))
+        case POr(a, b):
+            return POr(_norm(a), _norm(b))
+        case PImp(a, b):
+            return PImp(_norm(a), _norm(b))
+        case PNot(a):
+            return PImp(_norm(a), PBot())
+        case _:
+            raise TypeError(f"not a propositional formula: {f!r}")
+
+
+def _prove(
+    gamma: frozenset[PropFormula],
+    goal: PropFormula,
+    memo: dict[tuple[frozenset[PropFormula], PropFormula], bool],
+) -> bool:
+    key = (gamma, goal)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    # G4ip premises are strictly smaller than their conclusion, so no goal
+    # is re-entered while it is being proved and nothing provisional is stored
+    out = _prove_raw(gamma, goal, memo)
+    memo[key] = out
+    return out
+
+
+def _prove_raw(gamma, goal, memo) -> bool:
+    # axioms
+    if goal in gamma or PBot() in gamma:
+        return True
+
+    # invertible right rules
+    match goal:
+        case PAnd(a, b):
+            return _prove(gamma, a, memo) and _prove(gamma, b, memo)
+        case PImp(a, b):
+            return _prove(gamma | {a}, b, memo)
+
+    # invertible left rules, one at a time
+    for f in gamma:
+        rest = gamma - {f}
+        match f:
+            case PAnd(a, b):
+                return _prove(rest | {a, b}, goal, memo)
+            case POr(a, b):
+                return _prove(rest | {a}, goal, memo) and _prove(rest | {b}, goal, memo)
+            case PImp(PBot(), _):
+                return _prove(rest, goal, memo)
+            case PImp(PAtom(_) as p, c):
+                if p in gamma:
+                    return _prove(rest | {c}, goal, memo)
+            case PImp(PAnd(a, b), c):
+                return _prove(rest | {PImp(a, PImp(b, c))}, goal, memo)
+            case PImp(POr(a, b), c):
+                return _prove(rest | {PImp(a, c), PImp(b, c)}, goal, memo)
+
+    # choice points
+    if isinstance(goal, POr):
+        if _prove(gamma, goal.left, memo) or _prove(gamma, goal.right, memo):
+            return True
+    for f in gamma:
+        match f:
+            case PImp(PImp(a, b), c):
+                rest = gamma - {f}
+                if _prove(rest | {PImp(b, c)}, PImp(a, b), memo) and _prove(
+                    rest | {c}, goal, memo
+                ):
+                    return True
+    return False
+
+
+def reference_provable(f: PropFormula) -> bool:
+    return _prove(frozenset(), _norm(f), {})
+
+
+def _atom_order(f: PropFormula, seen: list[str]) -> list[str]:
+    match f:
+        case PAtom(name):
+            if name not in seen:
+                seen.append(name)
+        case PNot(a):
+            _atom_order(a, seen)
+        case PAnd(a, b) | POr(a, b) | PImp(a, b):
+            _atom_order(a, seen)
+            _atom_order(b, seen)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 
 P, Q, R = PAtom("p"), PAtom("q"), PAtom("r")
 LEM = POr(P, PNot(P))
@@ -134,3 +237,31 @@ def test_glivenko_hypothesis_seeded(seed):
     rng = random.Random(seed)
     f = random_prop(rng, depth=5)
     assert classical_valid(f) == ipc_provable(PNot(PNot(f)))
+
+
+def test_ipc_agrees_with_reference_on_raw_formulas():
+    formulas = list(gen.enumerate_prop_formulas(max_leaves=3, max_connectives=5))
+    assert len(formulas) == 28179
+    verdicts = [ipc_provable(f) for f in formulas]
+    assert sum(verdicts) == 2055
+    for f, got in zip(formulas, verdicts):
+        assert got == reference_provable(f), format_prop(f)
+
+
+def test_ipc_agrees_with_reference_on_translations():
+    # One formula per renaming class: atoms first occur in the order p, q, r.
+    # Renaming atoms changes neither prover's verdict, nor which ids
+    # ipc_provable gives the nodes, so the other members add nothing.
+    reps = [
+        f
+        for f in gen.enumerate_prop_formulas(max_leaves=3, max_connectives=5)
+        if (names := _atom_order(f, [])) == ["p", "q", "r"][: len(names)]
+    ]
+    assert len(reps) == 5256
+    provable = 0
+    for f in reps:
+        image = project_prop(neg_translate(embed_prop(f)))
+        got = ipc_provable(image)
+        assert got == reference_provable(image), format_prop(f)
+        provable += got
+    assert provable == 736

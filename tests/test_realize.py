@@ -195,6 +195,13 @@ def test_check_bounded_exists_enforces_the_bound():
     assert "out of bound" in out.note
 
 
+def test_hypothesis_witness_comes_from_the_bound_not_env():
+    # env's range for x ([7]) holds no witness below the bound 3
+    f = parse_formula("(exists x < 3. x = 2) -> 0 = 0")
+    assert check_realizes(ZERO, f, {"x": [7]}).status is Status.REALIZED
+    assert check_realizes(ZERO, f).status is Status.REALIZED
+
+
 def test_check_implication_vacuous_when_hypothesis_fails():
     verdict = check_realizes(ZERO, parse_formula("0 = S(0) -> 0 = S(0)"))
     assert verdict.status is Status.REALIZED
