@@ -362,7 +362,7 @@ def _cmd_jump_demo(args: argparse.Namespace) -> int:
                     print(f"program.{e}=halts trace={trace} output={output}")
                 else:
                     print(f"program {e}: halts, trace {trace}, output {output}")
-            case Diverges(_):
+            case Diverges():
                 if args.machine:
                     print(f"program.{e}=diverges")
                 else:
@@ -429,29 +429,6 @@ def _cmd_acceptance_run(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-# command path -> handler; the table is what the tests hold against the
-# parser tree, so a subcommand cannot be wired up without a handler
-COMMAND_OPS: dict[tuple[str, ...], Callable[[argparse.Namespace], int]] = {
-    ("parse",): _cmd_parse,
-    ("print",): _cmd_print,
-    ("seq", "encode"): _cmd_seq_encode,
-    ("seq", "decode"): _cmd_seq_decode,
-    ("seq", "concat"): _cmd_seq_concat,
-    ("seq", "bar"): _cmd_seq_bar,
-    ("schema",): _cmd_schema,
-    ("translate-neg",): _cmd_translate_neg,
-    ("oracle", "classical"): _cmd_oracle_classical,
-    ("oracle", "ipc"): _cmd_oracle_ipc,
-    ("realize", "check"): _cmd_realize_check,
-    ("realize", "transform"): _cmd_realize_transform,
-    ("jump", "run"): _cmd_jump_run,
-    ("jump", "demo"): _cmd_jump_demo,
-    ("bar", "verify"): _cmd_bar_verify,
-    ("bar", "recurse"): _cmd_bar_recurse,
-    ("acceptance", "run"): _cmd_acceptance_run,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="bairelab")
     top.add_argument(
@@ -462,28 +439,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a formula and print it back")
     p.add_argument("formula")
     p.add_argument("--ast", action="store_true", help="print the s-expression")
-    p.set_defaults(path=("parse",))
+    p.set_defaults(handler=_cmd_parse)
 
     p = sub.add_parser("print", help="parse a formula and pretty-print it")
     p.add_argument("formula")
-    p.set_defaults(path=("print",))
+    p.set_defaults(handler=_cmd_print)
 
     seq = sub.add_parser("seq", help="prime power sequence codes")
     seqsub = seq.add_subparsers(dest="seq_command", required=True)
     p = seqsub.add_parser("encode")
     p.add_argument("entries", nargs="*", type=int)
-    p.set_defaults(path=("seq", "encode"))
+    p.set_defaults(handler=_cmd_seq_encode)
     p = seqsub.add_parser("decode")
     p.add_argument("code", type=int)
-    p.set_defaults(path=("seq", "decode"))
+    p.set_defaults(handler=_cmd_seq_decode)
     p = seqsub.add_parser("concat")
     p.add_argument("left", type=int)
     p.add_argument("right", type=int)
-    p.set_defaults(path=("seq", "concat"))
+    p.set_defaults(handler=_cmd_seq_concat)
     p = seqsub.add_parser("bar")
     p.add_argument("length", type=int)
     p.add_argument("--alpha", default="zero")
-    p.set_defaults(path=("seq", "bar"))
+    p.set_defaults(handler=_cmd_seq_bar)
 
     p = sub.add_parser("schema", help="instantiate an axiom schema")
     p.add_argument("kind", nargs="?")
@@ -491,22 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", action="append", metavar="ROLE=NAME[,ROLE=NAME]")
     p.add_argument("--paper-literal", action="store_true")
     p.add_argument("--theory")
-    p.set_defaults(path=("schema",))
+    p.set_defaults(handler=_cmd_schema)
 
     p = sub.add_parser("translate-neg", help="double negation translation")
     p.add_argument("formula")
     p.add_argument("--simplify-decidable-atoms", action="store_true")
     p.add_argument("--repair-bi", action="store_true")
-    p.set_defaults(path=("translate-neg",))
+    p.set_defaults(handler=_cmd_translate_neg)
 
     oracle = sub.add_parser("oracle", help="propositional oracles")
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
     p = osub.add_parser("classical")
     p.add_argument("prop")
-    p.set_defaults(path=("oracle", "classical"))
+    p.set_defaults(handler=_cmd_oracle_classical)
     p = osub.add_parser("ipc")
     p.add_argument("prop")
-    p.set_defaults(path=("oracle", "ipc"))
+    p.set_defaults(handler=_cmd_oracle_ipc)
 
     realize = sub.add_parser("realize", help="realizability checking")
     rsub = realize.add_subparsers(dest="realize_command", required=True)
@@ -515,11 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizer", default="zero")
     p.add_argument("--env")
     p.add_argument("--fuel", type=int, default=1000)
-    p.set_defaults(path=("realize", "check"))
+    p.set_defaults(handler=_cmd_realize_check)
     p = rsub.add_parser("transform")
     p.add_argument("formula")
     p.add_argument("--eps", default="@e")
-    p.set_defaults(path=("realize", "transform"))
+    p.set_defaults(handler=_cmd_realize_transform)
 
     jump = sub.add_parser("jump", help="the pruning function and the jump sequence")
     jsub = jump.add_subparsers(dest="jump_command", required=True)
@@ -527,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code", type=int)
     p.add_argument("--alpha", default="zero")
     p.add_argument("--registry")
-    p.set_defaults(path=("jump", "run"))
+    p.set_defaults(handler=_cmd_jump_run)
     p = jsub.add_parser("demo")
     p.add_argument("--alpha", default="zero")
     p.add_argument("--upto", type=int, default=8)
     p.add_argument("--registry")
     p.add_argument("--fuel", type=int, default=100_000)
-    p.set_defaults(path=("jump", "demo"))
+    p.set_defaults(handler=_cmd_jump_demo)
 
     bar = sub.add_parser("bar", help="bar verification and bar recursion")
     bsub = bar.add_subparsers(dest="bar_command", required=True)
@@ -543,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--depth", type=int, required=True)
     p.add_argument("--alpha", default="zero")
     p.add_argument("--registry")
-    p.set_defaults(path=("bar", "verify"))
+    p.set_defaults(handler=_cmd_bar_verify)
     p = bsub.add_parser("recurse")
     p.add_argument("--rho", required=True)
     p.add_argument("-b", "--branching", type=int, required=True)
@@ -552,13 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", default="sum", choices=sorted(BUILTIN_STEPS))
     p.add_argument("--alpha", default="zero")
     p.add_argument("--registry")
-    p.set_defaults(path=("bar", "recurse"))
+    p.set_defaults(handler=_cmd_bar_recurse)
 
     acc = sub.add_parser("acceptance", help="the acceptance gate")
     asub = acc.add_subparsers(dest="acceptance_command", required=True)
     p = asub.add_parser("run")
     p.add_argument("--only", type=int, default=None, metavar="N")
-    p.set_defaults(path=("acceptance", "run"))
+    p.set_defaults(handler=_cmd_acceptance_run)
 
     return top
 
@@ -568,9 +545,8 @@ def dispatch(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = COMMAND_OPS[args.path]
     try:
-        return handler(args)
+        return args.handler(args)
     except (BairelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

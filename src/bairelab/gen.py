@@ -75,48 +75,42 @@ def random_functor(rng: random.Random, depth: int, num_vars: Sequence[str] = NUM
     return Lambda(v, random_term(rng, depth - 1, tuple(num_vars) + (v,)))
 
 
-def random_formula(
-    rng: random.Random,
-    depth: int,
-    num_vars: Sequence[str] = NUM_POOL[:3],
-    fun_vars: Sequence[str] = FUN_POOL[:2],
-    allow_fun_quant: bool = True,
-) -> Formula:
+def random_formula(rng: random.Random, depth: int, num_vars: Sequence[str] = NUM_POOL[:3]) -> Formula:
     if depth <= 0:
         return Eq(random_term(rng, 1, num_vars), random_term(rng, 1, num_vars))
-    top = rng.randrange(10 if allow_fun_quant else 8)
+    top = rng.randrange(10)
     match top:
         case 0:
             return And(
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
+                random_formula(rng, depth - 1, num_vars),
+                random_formula(rng, depth - 1, num_vars),
             )
         case 1:
             return Or(
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
+                random_formula(rng, depth - 1, num_vars),
+                random_formula(rng, depth - 1, num_vars),
             )
         case 2:
             return Imp(
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
-                random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant),
+                random_formula(rng, depth - 1, num_vars),
+                random_formula(rng, depth - 1, num_vars),
             )
         case 3:
-            return Not(random_formula(rng, depth - 1, num_vars, fun_vars, allow_fun_quant))
+            return Not(random_formula(rng, depth - 1, num_vars))
         case 4 | 5:
             v = rng.choice(list(NUM_POOL))
-            body = random_formula(rng, depth - 1, tuple(num_vars) + (v,), fun_vars, allow_fun_quant)
+            body = random_formula(rng, depth - 1, tuple(num_vars) + (v,))
             return ForallN(v, body) if top == 4 else ExistsN(v, body)
         case 6:
             v = rng.choice(list(NUM_POOL))
             bound = random_term(rng, 1, num_vars)
-            body = random_formula(rng, depth - 1, tuple(num_vars) + (v,), fun_vars, allow_fun_quant)
+            body = random_formula(rng, depth - 1, tuple(num_vars) + (v,))
             return BForallN(v, bound, body) if rng.random() < 0.5 else BExistsN(v, bound, body)
         case 7:
             return Eq(random_term(rng, depth - 1, num_vars), random_term(rng, depth - 1, num_vars))
         case _:
             v = rng.choice(list(FUN_POOL))
-            body = random_formula(rng, depth - 1, num_vars, tuple(fun_vars) + (v,), allow_fun_quant)
+            body = random_formula(rng, depth - 1, num_vars)
             return ForallF(v, body) if top == 8 else ExistsF(v, body)
 
 
@@ -143,19 +137,15 @@ def random_qf_formula(
 # exhaustive propositional enumeration
 
 
-def enumerate_prop_formulas(
-    max_leaves: int = 3,
-    max_connectives: int = 7,
-    atoms: Sequence[str] = ("p", "q", "r"),
-) -> Iterator[PropFormula]:
+def enumerate_prop_formulas(max_leaves: int = 3, max_connectives: int = 7) -> Iterator[PropFormula]:
     """Every formula with at most `max_leaves` atom occurrences and at most
-    `max_connectives` connectives, atoms drawn from the given alphabet.
+    `max_connectives` connectives, over the atoms p, q and r.
 
     Size is counted on the tree: each atom occurrence is a leaf, each of
     ~ & | -> is one connective.  Tables are built by dynamic programming
     on (leaves, connectives).
     """
-    leaf_row = tuple(PAtom(a) for a in atoms)
+    leaf_row = (PAtom("p"), PAtom("q"), PAtom("r"))
     # table[l][c] = tuple of formulas with exactly l leaves, c connectives
     table: dict[tuple[int, int], tuple[PropFormula, ...]] = {}
     for l in range(1, max_leaves + 1):

@@ -26,9 +26,7 @@ from .machine import (
     HaltingInfo,
     MalformedProgramError,
     OracleProgram,
-    load_registry,
     oracle_fn,
-    registry_programs,
     run,
     t_check,
 )
@@ -42,21 +40,7 @@ class NotBarredError(BairelabError):
     """bar_recurse reached the depth budget on an uncut path."""
 
 
-_DEFAULT_PROGRAMS: Optional[dict[int, OracleProgram]] = None
-
-
-def _default_programs() -> dict[int, OracleProgram]:
-    global _DEFAULT_PROGRAMS
-    if _DEFAULT_PROGRAMS is None:
-        _DEFAULT_PROGRAMS = registry_programs(load_registry())
-    return _DEFAULT_PROGRAMS
-
-
-def rho(
-    s: int,
-    alpha: object,
-    programs: Optional[Mapping[int, OracleProgram]] = None,
-) -> int:
+def rho(s: int, alpha: object, programs: Mapping[int, OracleProgram]) -> int:
     """Prune codes that visibly deviate from the jump sequence of alpha.
 
     Four cases, checked in order; any hit gives 0, otherwise 1.
@@ -78,8 +62,6 @@ def rho(
     halting certificate, so a 0 slot for them survives case 3 and a
     positive slot is cut by case 4.
     """
-    if programs is None:
-        programs = _default_programs()
     entries = seqcode.decode(s)
     if entries is None:
         return 1
@@ -123,7 +105,7 @@ def build_beta(alpha: object, h: HaltingInfo, upto: int) -> Tabled:
         match h[(n, n)]:
             case Halts(trace, _):
                 prefix.append(trace + 1)
-            case Diverges(_):
+            case Diverges():
                 prefix.append(0)
     return Tabled(tuple(prefix))
 
@@ -200,9 +182,7 @@ def bar_recurse(
     return fold(1, 0)
 
 
-def oracle_rho(
-    alpha: object, programs: Optional[Mapping[int, OracleProgram]] = None
-) -> RhoFn:
+def oracle_rho(alpha: object, programs: Mapping[int, OracleProgram]) -> RhoFn:
     """rho specialised to alpha, in the shape bar_verify expects."""
     return lambda s: rho(s, alpha, programs)
 

@@ -173,9 +173,23 @@ def unpack_trace(y: int) -> Optional[tuple[int, tuple[Config, ...]]]:
 
 
 @dataclass(frozen=True)
-class RunResult:
+class Halts:
+    """A halting run: its packed trace and the value of its HALT register."""
+
     trace: int
     output: int
+
+
+@dataclass(frozen=True)
+class Diverges:
+    """The machine state (pc, registers) recurred: steps first and again.
+
+    A registry claim records only the state, with both steps -1.
+    """
+
+    first: int
+    again: int
+    state: tuple[int, ...]
 
 
 def _step(ins: Instr, pc: int, regs: list[int], pending: int) -> int:
@@ -194,12 +208,12 @@ def _step(ins: Instr, pc: int, regs: list[int], pending: int) -> int:
 
 def _steps(
     program: OracleProgram, x: int, alpha: object, fuel: int, seen: Optional[dict] = None
-) -> Union[tuple[list[Config], int], LoopCert, None]:
+) -> Union[tuple[list[Config], int], Diverges, None]:
     """Run program on x under oracle alpha for at most fuel steps.
 
     The machine's one stepping loop.  It returns (configs, output) when
     the run halts, configs being every configuration, HALT step included;
-    a LoopCert when a (pc, registers) state recurs, checked only when the
+    a Diverges when a (pc, registers) state recurs, checked only when the
     caller passes a seen dict (state -> first step); None when fuel runs
     out.  Control falling off the end raises MalformedProgramError.
     """
@@ -214,7 +228,7 @@ def _steps(
         if seen is not None:
             state = (pc, *regs)
             if state in seen:
-                return LoopCert(seen[state], step, state)
+                return Diverges(seen[state], step, state)
             seen[state] = step
         ins = code[pc]
         pending = q(regs[ins.src]) if isinstance(ins, Query) else 0
@@ -229,9 +243,7 @@ def _steps(
     return None
 
 
-def run(
-    program: OracleProgram, x: int, alpha: object, fuel: int
-) -> Optional[RunResult]:
+def run(program: OracleProgram, x: int, alpha: object, fuel: int) -> Optional[Halts]:
     """Simulate at most fuel steps; a halting run yields its packed trace.
 
     Returns None when fuel runs out first.  Control reaching the end of
@@ -243,7 +255,7 @@ def run(
     if halted is None:
         return None
     configs, output = halted
-    return RunResult(pack_trace(program.num_registers, configs), output)
+    return Halts(pack_trace(program.num_registers, configs), output)
 
 
 def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
@@ -288,26 +300,6 @@ def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:
 # --- certified halting information ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Halts:
-    trace: int
-    output: int
-
-
-@dataclass(frozen=True)
-class LoopCert:
-    """The machine state (pc, registers) recurred: steps first and again."""
-
-    first: int
-    again: int
-    state: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Diverges:
-    cert: LoopCert
-
-
 HaltingInfo = dict[tuple[int, int], Union[Halts, Diverges]]
 
 
@@ -324,8 +316,8 @@ def certify(
     info: HaltingInfo = {}
     for e, program in programs.items():
         end = _steps(program, e, alpha, fuel, seen={})
-        if isinstance(end, LoopCert):
-            info[(e, e)] = Diverges(end)
+        if isinstance(end, Diverges):
+            info[(e, e)] = end
         elif end is not None:
             configs, output = end
             info[(e, e)] = Halts(pack_trace(program.num_registers, configs), output)
@@ -415,7 +407,7 @@ def parse_registry(text: str) -> tuple[RegistryEntry, ...]:
                 claim = Halts(y, unpacked[1][-1][1 + out_reg])
             elif status.startswith("diverges@"):
                 state = tuple(int(p) for p in status[len("diverges@") :].split(":"))
-                claim = Diverges(LoopCert(-1, -1, state))
+                claim = Diverges(-1, -1, state)
             else:
                 raise RegistryError(f"bad status {status!r}")
         except (ValueError, BairelabError) as exc:
@@ -443,11 +435,9 @@ def load_registry(path: Optional[str] = None) -> tuple[RegistryEntry, ...]:
     return parse_registry(data.read_text(encoding="utf-8"))
 
 
-def verify_registry(
-    entries: Sequence[RegistryEntry], fuel: int = 10_000
-) -> None:
+def verify_registry(entries: Sequence[RegistryEntry]) -> None:
     """Recompute every claim under the zero oracle; raise on any mismatch."""
-    recomputed = certify(registry_programs(entries), _ZERO_ORACLE, fuel)
+    recomputed = certify(registry_programs(entries), _ZERO_ORACLE, 10_000)
     for entry in entries:
         e = entry.program.index
         got = recomputed.get((e, e))
@@ -455,9 +445,7 @@ def verify_registry(
             case Halts(y, out), Halts(y2, out2) if y == y2 and out == out2:
                 if not t_check(entry.program, e, y, _ZERO_ORACLE):
                     raise RegistryError(f"program {e}: claimed trace fails t_check")
-            case Diverges(LoopCert(_, _, state)), Diverges(LoopCert(_, _, state2)) if (
-                state == state2
-            ):
+            case Diverges(_, _, state), Diverges(_, _, state2) if state == state2:
                 pass
             case _:
                 raise RegistryError(f"program {e}: claim {entry.claim} vs {got}")

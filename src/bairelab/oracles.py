@@ -27,7 +27,7 @@ from itertools import product
 
 from .errors import BairelabError
 from .prop import PAnd, PAtom, PBot, PImp, PNot, POr, PropFormula, atoms_of
-from .syntax import And, Eq, Formula, Imp, Not, NumVar, Or, Succ, Zero
+from .syntax import FALSUM, And, Eq, Formula, Imp, Not, NumVar, Or, Succ, Zero
 
 CLASSICAL_ATOM_BUDGET = 20
 IPC_ATOM_BUDGET = 12
@@ -251,8 +251,8 @@ def _upsets(size: int, order: frozenset[tuple[int, int]]):
             yield s
 
 
-def kripke_countermodel(f: PropFormula, max_worlds: int = 3) -> KripkeModel | None:
-    """A model with a world not forcing f, if one is found at this size.
+def kripke_countermodel(f: PropFormula) -> KripkeModel | None:
+    """A model on at most three worlds with a world not forcing f, if found.
 
     Models are tried smallest first, at most KRIPKE_MODEL_BUDGET of them.
     With up to four atoms that covers every model on up to three worlds,
@@ -261,7 +261,7 @@ def kripke_countermodel(f: PropFormula, max_worlds: int = 3) -> KripkeModel | No
     """
     names = sorted(atoms_of(f))
     tried = 0
-    for size in range(1, max_worlds + 1):
+    for size in range(1, 4):
         for order in _preorders(size):
             ups = list(_upsets(size, order))
             for chosen in product(ups, repeat=len(names)):
@@ -277,8 +277,6 @@ def kripke_countermodel(f: PropFormula, max_worlds: int = 3) -> KripkeModel | No
 # ---------------------------------------------------------------------------
 # bridges to the object language
 
-_FALSUM = Eq(Zero(), Succ(Zero()))
-
 
 def embed_prop(f: PropFormula) -> Formula:
     """Atoms p become equations p = 0 over a number variable named p."""
@@ -286,7 +284,7 @@ def embed_prop(f: PropFormula) -> Formula:
         case PAtom(name):
             return Eq(NumVar(name), Zero())
         case PBot():
-            return _FALSUM
+            return FALSUM
         case PAnd(a, b):
             return And(embed_prop(a), embed_prop(b))
         case POr(a, b):
@@ -301,9 +299,9 @@ def embed_prop(f: PropFormula) -> Formula:
 
 def project_prop(f: Formula) -> PropFormula:
     """Inverse of embed_prop on quantifier-free images."""
-    if f == _FALSUM:
-        return PBot()
     match f:
+        case Eq(Zero(), Succ(Zero())):
+            return PBot()
         case Eq(NumVar(name), Zero()):
             return PAtom(name)
         case And(a, b):

@@ -26,6 +26,7 @@ from .errors import BairelabError
 from .machine import OracleProgram, assemble, oracle_fn
 from .schemas import FreshnessError
 from .syntax import (
+    FALSUM,
     Add,
     And,
     Apply,
@@ -499,9 +500,6 @@ def _rebind(var: str, body: Formula, e: Functor) -> tuple[str, Formula]:
     return fresh, subst_num(body, var, NumVar(fresh))
 
 
-_FALSE_ATOM = Eq(Zero(), Succ(Zero()))
-
-
 def _tr(e: Functor, f: Formula, avoid: frozenset[str]) -> Formula:
     match f:
         case Eq(_, _):
@@ -528,7 +526,7 @@ def _tr(e: Functor, f: Formula, avoid: frozenset[str]) -> Formula:
             )
         case Not(a):
             d = _fresh("@d", avoid | free_vars(f)[1])
-            return ForallF(d, Imp(_tr(FnVar(d), a, avoid | {d}), _FALSE_ATOM))
+            return ForallF(d, Imp(_tr(FnVar(d), a, avoid | {d}), FALSUM))
         case ForallN(var, body):
             var, body = _rebind(var, body, e)
             return ForallN(var, _tr(_embed_num(e, var), body, avoid))
@@ -581,10 +579,10 @@ more:   HALT 5        # r5 == 0: no zero yet, ask for a longer prefix
 """
 
 
-def mp_realizer(fuel: int = 100_000) -> Program:
+def mp_realizer() -> Program:
     """Realizer for Markov's principle: search the hypothesis function
     for its least zero and emit it as the existential witness."""
-    return Program(OracleProgram(0, assemble(_MP_SEARCH)), fuel)
+    return Program(OracleProgram(0, assemble(_MP_SEARCH)))
 
 
 def dns1_realizer() -> FiniteSupport:

@@ -119,9 +119,9 @@ def lh(n: int) -> int:
     return len(_entries(n))
 
 
-def concat(a: int, b: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
+def concat(a: int, b: int) -> int:
     """Code of the concatenation of two coded sequences."""
-    return encode(_entries(a) + _entries(b), max_bits=max_bits)
+    return encode(_entries(a) + _entries(b))
 
 
 def bar(alpha: Callable[[int], int], x: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:

@@ -269,6 +269,10 @@ def numeral(n: int) -> Term:
     return t
 
 
+# 0 = 1, the false equation standing for falsum
+FALSUM = Eq(Zero(), Succ(Zero()))
+
+
 def numeral_value(t: Term) -> int | None:
     """The natural a term denotes if it is a bare successor tower, else None."""
     n = 0

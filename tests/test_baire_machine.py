@@ -16,7 +16,6 @@ from bairelab.machine import (
     Halts,
     Inc,
     Jz,
-    LoopCert,
     MalformedProgramError,
     OracleProgram,
     Query,
@@ -173,7 +172,7 @@ def test_certify_splits_halts_and_loops():
     programs = {0: TIGHT_LOOP, 1: HALT_NOW, 2: QUERY_HALT}
     info = certify(programs, ZERO, 1000)
     match info[(0, 0)]:
-        case Diverges(LoopCert(first, again, state)):
+        case Diverges(first, again, state):
             assert first < again and state == (0, 0)
         case other:
             pytest.fail(f"expected divergence, got {other}")

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import bairelab
-from bairelab import seqcode
-from bairelab.cli import COMMAND_OPS, build_parser, dispatch, parse_element, parse_env
+from bairelab import cli, seqcode
+from bairelab.cli import build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
 from bairelab.parser import MAX_DEPTH, parse_formula
 from bairelab.schemas import PAPER_MP_DISPLAY
@@ -29,18 +29,17 @@ def run(*argv: str) -> tuple[int, str, str]:
 # --- wiring ------------------------------------------------------------------
 
 
-def _leaf_paths(parser: argparse.ArgumentParser) -> set[tuple[str, ...]]:
+def _leaf_handlers(parser: argparse.ArgumentParser) -> list:
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        return {parser._defaults["path"]}
-    found: set[tuple[str, ...]] = set()
-    for child in subs[0].choices.values():
-        found |= _leaf_paths(child)
-    return found
+        return [parser._defaults["handler"]]
+    return [h for child in subs[0].choices.values() for h in _leaf_handlers(child)]
 
 
 def test_every_subcommand_has_a_handler_and_vice_versa():
-    assert _leaf_paths(build_parser()) == set(COMMAND_OPS)
+    handlers = _leaf_handlers(build_parser())
+    assert len(handlers) == len(set(handlers))
+    assert set(handlers) == {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
 
 
 def test_usage_errors_exit_2():
@@ -220,6 +219,27 @@ def test_oracle_ipc_with_countermodel():
     assert lines[0] == "not provable"
     assert lines[1].startswith("countermodel on ")
     assert any("p holds at:" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "src, plain, machine",
+    [
+        (
+            "((p->q)->p)->p",
+            "not provable\ncountermodel on 2 worlds\n  p holds at: 1\n  q holds at: (nowhere)\n",
+            "provable=false\ncountermodel.worlds=2\ncountermodel.p=1\ncountermodel.q=\n",
+        ),
+        (
+            "p | ~p",
+            "not provable\ncountermodel on 2 worlds\n  p holds at: 1\n",
+            "provable=false\ncountermodel.worlds=2\ncountermodel.p=1\n",
+        ),
+    ],
+    ids=["peirce", "excluded-middle"],
+)
+def test_oracle_ipc_countermodel_output_is_pinned(src, plain, machine):
+    assert run("oracle", "ipc", src) == (0, plain, "")
+    assert run("--machine", "oracle", "ipc", src) == (0, machine, "")
 
 
 def test_oracle_ipc_countermodel_search_is_bounded():

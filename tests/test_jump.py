@@ -81,8 +81,9 @@ def test_rho_beyond_known_programs():
 
 def test_rho_uses_packaged_registry_by_default():
     alpha = FiniteSupport(((0, 2),), default=0)
-    assert rho(seqcode.encode([2]), alpha) == 1
-    assert rho(seqcode.encode([3]), alpha) == 0
+    programs = registry_programs(load_registry())
+    assert rho(seqcode.encode([2]), alpha, programs) == 1
+    assert rho(seqcode.encode([3]), alpha, programs) == 0
 
 
 def test_build_beta_small():

@@ -189,7 +189,7 @@ def test_kripke_cross_check():
     cases += [random_prop(rng, depth=3) for _ in range(40)]
     for f in cases:
         provable = ipc_provable(f)
-        model = kripke_countermodel(f, max_worlds=3)
+        model = kripke_countermodel(f)
         if provable:
             assert model is None, format_prop(f)
         if model is not None:
