@@ -52,7 +52,7 @@ from .machine import (
     verify_registry,
 )
 from .negtrans import is_negative, neg_translate, repair_bi_clause1, simplify_decidable_atoms
-from .oracles import classical_valid, embed_prop, ipc_provable, project_prop
+from .oracles import classical_valid, ipc_provable
 from .parser import parse_formula
 from .printer import format_formula
 from .realize import Status, check_realizes, k2_apply, k2_apply_info, mp_realizer
@@ -85,7 +85,7 @@ def run_criterion_1() -> CriterionResult:
     for f in enumerate_prop_formulas(max_leaves=3, max_connectives=7):
         total += 1
         classical = classical_valid(f)
-        translated = ipc_provable(project_prop(neg_translate(embed_prop(f))))
+        translated = ipc_provable(neg_translate(f))
         if classical != translated:
             mismatches += 1
     elapsed = time.perf_counter() - started

@@ -37,9 +37,8 @@ from .jump import (
 from .machine import Diverges, Halts, certify, load_registry, registry_programs
 from .negtrans import neg_translate, repair_bi_clause1, simplify_decidable_atoms
 from .oracles import classical_valid, ipc_provable, kripke_countermodel
-from .parser import parse_formula
+from .parser import parse_formula, parse_prop
 from .printer import format_formula, to_sexpr
-from .prop import parse_prop
 from .realize import (
     check_realizes,
     dns1_realizer,

@@ -2,7 +2,7 @@
 
 Seeded `random.Random` generators reproduce the same stream forever for a
 frozen seed (the acceptance checks rely on it), and a dynamic programming
-enumerator lists small propositional formulas by size.  Hypothesis
+enumerator lists small formulas of the propositional fragment by size.  Hypothesis
 strategies for property tests live with the tests, so the package needs
 no third-party import.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 
-from .prop import PAnd, PAtom, PImp, PNot, POr, PropFormula
 from .syntax import (
     Add,
     And,
@@ -36,6 +35,7 @@ from .syntax import (
     Pair,
     Succ,
     Term,
+    Zero,
     numeral,
 )
 
@@ -137,33 +137,34 @@ def random_qf_formula(
 # exhaustive propositional enumeration
 
 
-def enumerate_prop_formulas(max_leaves: int = 3, max_connectives: int = 7) -> Iterator[PropFormula]:
-    """Every formula with at most `max_leaves` atom occurrences and at most
-    `max_connectives` connectives, over the atoms p, q and r.
+def enumerate_prop_formulas(max_leaves: int = 3, max_connectives: int = 7) -> Iterator[Formula]:
+    """Every formula of the propositional fragment with at most `max_leaves`
+    atom occurrences and at most `max_connectives` connectives, over the
+    atoms p = 0, q = 0 and r = 0.
 
     Size is counted on the tree: each atom occurrence is a leaf, each of
     ~ & | -> is one connective.  Tables are built by dynamic programming
     on (leaves, connectives).
     """
-    leaf_row = (PAtom("p"), PAtom("q"), PAtom("r"))
+    leaf_row = tuple(Eq(NumVar(name), Zero()) for name in "pqr")
     # table[l][c] = tuple of formulas with exactly l leaves, c connectives
-    table: dict[tuple[int, int], tuple[PropFormula, ...]] = {}
+    table: dict[tuple[int, int], tuple[Formula, ...]] = {}
     for l in range(1, max_leaves + 1):
         for c in range(0, max_connectives + 1):
-            cell: list[PropFormula] = []
+            cell: list[Formula] = []
             if l == 1 and c == 0:
                 cell.extend(leaf_row)
             if c >= 1:
-                cell.extend(PNot(f) for f in table.get((l, c - 1), ()))
+                cell.extend(Not(f) for f in table.get((l, c - 1), ()))
                 for l1 in range(1, l):
                     for c1 in range(0, c):
                         left = table.get((l1, c1), ())
                         right = table.get((l - l1, c - 1 - c1), ())
                         for a in left:
                             for b in right:
-                                cell.append(PAnd(a, b))
-                                cell.append(POr(a, b))
-                                cell.append(PImp(a, b))
+                                cell.append(And(a, b))
+                                cell.append(Or(a, b))
+                                cell.append(Imp(a, b))
             table[(l, c)] = tuple(cell)
     for l in range(1, max_leaves + 1):
         for c in range(0, max_connectives + 1):

@@ -1,8 +1,15 @@
 """Decision procedures for propositional logic, used as test oracles.
 
+They read the object language's propositional fragment: an atom p is the
+equation p = 0 over a number variable, falsum is `syntax.FALSUM`, and the
+connectives are And, Or, Imp and Not.  Each first walks its whole formula
+with `prop_atoms`, which refuses anything outside the fragment.
+
 Three independent routes:
 
-- `classical_valid`: truth tables.
+- `classical_valid`: truth tables, one bit per valuation.  Each atom is an
+  int of 2^n bits, bit v set when the atom is true in valuation v, so one
+  walk over the formula evaluates it in every valuation at once.
 - `ipc_provable`: contraction-free sequent search (Dyckhoff's G4ip), a
   decision procedure for intuitionistic propositional logic.  Each call
   interns its formula's nodes (hash-consing): every (kind, left, right)
@@ -14,10 +21,6 @@ Three independent routes:
   invertible formula is the lowest set bit of `context & inv`.
 - `kripke_countermodel`: brute-force search for a small Kripke
   countermodel, used to cross-check refutations from the sequent search.
-
-Plus bridges that embed propositional formulas into the object language
-(atoms become equations) and project back, so the real formula-level
-translation can be tested against these oracles.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BairelabError
-from .prop import PAnd, PAtom, PBot, PImp, PNot, POr, PropFormula, atoms_of
-from .syntax import FALSUM, And, Eq, Formula, Imp, Not, NumVar, Or, Succ, Zero
+from .syntax import FALSUM, And, Eq, Formula, Imp, Not, NumVar, Or, Zero
 
 CLASSICAL_ATOM_BUDGET = 20
 IPC_ATOM_BUDGET = 12
@@ -39,36 +41,55 @@ class AtomBudgetError(BairelabError):
     """Formula has too many distinct atoms for exhaustive methods."""
 
 
+def prop_atoms(f: Formula) -> set[str]:
+    """The names of f's atoms.  Raises BairelabError unless every node of f
+    lies in the propositional fragment."""
+    names: set[str] = set()
+    todo = [f]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is Not:
+            todo.append(n.body)
+        elif t is And or t is Or or t is Imp:
+            todo += (n.left, n.right)
+        elif t is Eq and type(n.left) is NumVar and type(n.right) is Zero:
+            names.add(n.left.name)
+        elif n != FALSUM:
+            raise BairelabError(f"outside the propositional fragment: {n!r}")
+    return names
+
+
 # ---------------------------------------------------------------------------
 # classical truth tables
 
 
-def _eval(f: PropFormula, env: dict[str, bool]) -> bool:
-    match f:
-        case PAtom(name):
-            return env[name]
-        case PBot():
-            return False
-        case PAnd(a, b):
-            return _eval(a, env) and _eval(b, env)
-        case POr(a, b):
-            return _eval(a, env) or _eval(b, env)
-        case PImp(a, b):
-            return (not _eval(a, env)) or _eval(b, env)
-        case PNot(a):
-            return not _eval(a, env)
-        case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
-
-
-def classical_valid(f: PropFormula) -> bool:
-    names = sorted(atoms_of(f))
+def classical_valid(f: Formula) -> bool:
+    names = sorted(prop_atoms(f))
     if len(names) > CLASSICAL_ATOM_BUDGET:
         raise AtomBudgetError(f"{len(names)} atoms exceed the classical budget")
-    for bits in product((False, True), repeat=len(names)):
-        if not _eval(f, dict(zip(names, bits))):
-            return False
-    return True
+    # bit v of a mask is the value in valuation v; a new atom doubles them
+    size, masks = 1, {}
+    for name in names:
+        for k in masks:
+            masks[k] |= masks[k] << size
+        masks[name] = (1 << size) - 1 << size
+        size <<= 1
+    full = (1 << size) - 1
+
+    def value(f: Formula) -> int:
+        t = type(f)
+        if t is Not:
+            return full ^ value(f.body)
+        if t is And:
+            return value(f.left) & value(f.right)
+        if t is Or:
+            return value(f.left) | value(f.right)
+        if t is Imp:
+            return (full ^ value(f.left)) | value(f.right)
+        return masks[f.left.name] if type(f.left) is NumVar else 0
+
+    return value(f) == full
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +99,13 @@ def classical_valid(f: PropFormula) -> bool:
 _ATOM, _BOT, _AND, _OR, _IMP = range(5)
 
 
-def ipc_provable(f: PropFormula) -> bool:
+def ipc_provable(f: Formula) -> bool:
     """Whether f is provable in intuitionistic propositional logic (G4ip)."""
+    if len(prop_atoms(f)) > IPC_ATOM_BUDGET:
+        raise AtomBudgetError("too many atoms for the intuitionistic oracle")
     # One intern table per call: each (kind, left, right) is a small int id,
     # with kind, left and right lists indexed by id.  Leaves store names in
-    # left; PNot a is interned as a -> bot.
+    # left; Not a is interned as a -> bot.
     table: dict[tuple, int] = {}
     kind: list[int] = []
     left: list = []
@@ -111,26 +134,20 @@ def ipc_provable(f: PropFormula) -> bool:
                     inv |= 1 << i
         return i
 
-    def intern(f: PropFormula) -> int:
+    def intern(f: Formula) -> int:
         t = type(f)
-        if t is PAtom:
-            return node(_ATOM, f.name, None)
-        if t is PNot:
+        if t is Eq:
+            return node(_ATOM, f.left.name, None) if type(f.left) is NumVar else bot
+        if t is Not:
             return node(_IMP, intern(f.body), bot)
-        if t is PBot:
-            return bot
-        if t is PImp:
+        if t is Imp:
             return node(_IMP, intern(f.left), intern(f.right))
-        if t is PAnd:
+        if t is And:
             return node(_AND, intern(f.left), intern(f.right))
-        if t is POr:
-            return node(_OR, intern(f.left), intern(f.right))
-        raise TypeError(f"not a propositional formula: {f!r}")
+        return node(_OR, intern(f.left), intern(f.right))
 
     bot = node(_BOT, None, None)
     goal = intern(f)
-    if kind.count(_ATOM) > IPC_ATOM_BUDGET:
-        raise AtomBudgetError("too many atoms for the intuitionistic oracle")
     memo: dict[tuple[int, int], bool] = {}
 
     def prove(g: int, goal: int) -> bool:
@@ -211,28 +228,26 @@ class KripkeModel:
     order: frozenset[tuple[int, int]]
     valuation: dict[str, frozenset[int]]
 
-    def forces(self, world: int, f: PropFormula) -> bool:
+    def forces(self, world: int, f: Formula) -> bool:
         match f:
-            case PAtom(name):
+            case Eq(NumVar(name), Zero()):
                 return world in self.valuation.get(name, frozenset())
-            case PBot():
-                return False
-            case PAnd(a, b):
+            case And(a, b):
                 return self.forces(world, a) and self.forces(world, b)
-            case POr(a, b):
+            case Or(a, b):
                 return self.forces(world, a) or self.forces(world, b)
-            case PImp(a, b):
+            case Imp(a, b):
                 return all(
                     self.forces(v, b)
                     for (u, v) in self.order
                     if u == world and self.forces(v, a)
                 )
-            case PNot(a):
+            case Not(a):
                 return all(
                     not self.forces(v, a) for (u, v) in self.order if u == world
                 )
-            case _:
-                raise TypeError(f"not a propositional formula: {f!r}")
+            case _:  # falsum, since kripke_countermodel checks the fragment
+                return False
 
 
 def _preorders(size: int):
@@ -251,7 +266,7 @@ def _upsets(size: int, order: frozenset[tuple[int, int]]):
             yield s
 
 
-def kripke_countermodel(f: PropFormula) -> KripkeModel | None:
+def kripke_countermodel(f: Formula) -> KripkeModel | None:
     """A model on at most three worlds with a world not forcing f, if found.
 
     Models are tried smallest first, at most KRIPKE_MODEL_BUDGET of them.
@@ -259,7 +274,7 @@ def kripke_countermodel(f: PropFormula) -> KripkeModel | None:
     so None means no countermodel of that size exists; with more atoms
     None may only mean the budget ran out first.
     """
-    names = sorted(atoms_of(f))
+    names = sorted(prop_atoms(f))
     tried = 0
     for size in range(1, 4):
         for order in _preorders(size):
@@ -275,42 +290,14 @@ def kripke_countermodel(f: PropFormula) -> KripkeModel | None:
 
 
 # ---------------------------------------------------------------------------
-# bridges to the object language
+# identity stand-ins for the removed bridges to a separate propositional type
 
 
-def embed_prop(f: PropFormula) -> Formula:
-    """Atoms p become equations p = 0 over a number variable named p."""
-    match f:
-        case PAtom(name):
-            return Eq(NumVar(name), Zero())
-        case PBot():
-            return FALSUM
-        case PAnd(a, b):
-            return And(embed_prop(a), embed_prop(b))
-        case POr(a, b):
-            return Or(embed_prop(a), embed_prop(b))
-        case PImp(a, b):
-            return Imp(embed_prop(a), embed_prop(b))
-        case PNot(a):
-            return Not(embed_prop(a))
-        case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
+def embed_prop(f: Formula) -> Formula:
+    """Returns f.  Only perfbench's prop-sweep calls it."""
+    return f
 
 
-def project_prop(f: Formula) -> PropFormula:
-    """Inverse of embed_prop on quantifier-free images."""
-    match f:
-        case Eq(Zero(), Succ(Zero())):
-            return PBot()
-        case Eq(NumVar(name), Zero()):
-            return PAtom(name)
-        case And(a, b):
-            return PAnd(project_prop(a), project_prop(b))
-        case Or(a, b):
-            return POr(project_prop(a), project_prop(b))
-        case Imp(a, b):
-            return PImp(project_prop(a), project_prop(b))
-        case Not(a):
-            return PNot(project_prop(a))
-        case _:
-            raise BairelabError(f"formula is outside the propositional image: {f!r}")
+def project_prop(f: Formula) -> Formula:
+    """Returns f.  Only perfbench's prop-sweep calls it."""
+    return f

@@ -48,6 +48,8 @@ from .syntax import (
     Formula,
     Functor,
     Imp,
+    FALSUM,
+    NUM_NAME,
     Lambda,
     Mul,
     Not,
@@ -58,6 +60,8 @@ from .syntax import (
     SeqExt,
     Succ,
     Term,
+    Zero,
+    children,
     numeral,
     tree_depth,
 )
@@ -463,3 +467,120 @@ def _lambda_tail(st: _State) -> Functor:
     st.take("DOT")
     body = _term(st)
     return Lambda(v, body)
+
+
+# -- propositional formulas -------------------------------------------------
+
+
+class PropParseError(BairelabError):
+    pass
+
+
+def _prop_depth(f: Formula) -> int:
+    """Levels of formula nodes, so an atom or falsum is one level; counted
+    level by level without recursion."""
+    level, depth = [f], 0
+    while level:
+        depth += 1
+        level = [k for n in level for k in children(n) if isinstance(k, Formula)]
+    return depth
+
+
+def parse_prop(src: str) -> Formula:
+    """Parse `~ & | ->` over atoms, which are number variable names; `bot`
+    is falsum.  An atom p stands for the equation p = 0, so the result lies
+    in the object language's propositional fragment.  Like parse_formula,
+    it refuses nesting deeper than MAX_DEPTH levels."""
+    toks: list[str] = []
+    i = 0
+    while i < len(src):
+        c = src[i]
+        if c.isspace():
+            i += 1
+        elif c.isalpha() and c.islower():
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(src[i:j])
+            i = j
+        elif src.startswith("->", i):
+            toks.append("->")
+            i += 2
+        elif c in "~&|()":
+            toks.append(c)
+            i += 1
+        else:
+            raise PropParseError(f"unexpected character {c!r} at offset {i}")
+    toks.append("<eof>")
+    pos = [0]
+    depth = [0]  # nesting levels open at pos
+
+    def peek() -> str:
+        return toks[pos[0]]
+
+    def take(t: str) -> None:
+        if peek() != t:
+            raise PropParseError(f"expected {t!r}, got {peek()!r}")
+        pos[0] += 1
+
+    def enter() -> None:
+        depth[0] += 1
+        if depth[0] > MAX_DEPTH:
+            raise PropParseError(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def p_imp() -> Formula:
+        enter()
+        a = p_or()
+        if peek() == "->":
+            take("->")
+            a = Imp(a, p_imp())
+        depth[0] -= 1
+        return a
+
+    def p_or() -> Formula:
+        a = p_and()
+        while peek() == "|":
+            take("|")
+            a = Or(a, p_and())
+        return a
+
+    def p_and() -> Formula:
+        a = p_neg()
+        while peek() == "&":
+            take("&")
+            a = And(a, p_neg())
+        return a
+
+    def p_neg() -> Formula:
+        if peek() == "~":
+            take("~")
+            enter()
+            a = Not(p_neg())
+            depth[0] -= 1
+            return a
+        return p_atom()
+
+    def p_atom() -> Formula:
+        t = peek()
+        if t == "(":
+            take("(")
+            f = p_imp()
+            take(")")
+            return f
+        if t == "bot":
+            take("bot")
+            return FALSUM
+        if NUM_NAME.match(t):
+            take(t)
+            return Eq(NumVar(t), Zero())
+        if t[0].isalpha():
+            raise PropParseError(f"atom {t!r} is not a number variable name")
+        raise PropParseError(f"expected an atom, got {t!r}")
+
+    f = p_imp()
+    if peek() != "<eof>":
+        raise PropParseError(f"trailing input at {peek()!r}")
+    levels = _prop_depth(f)
+    if levels > MAX_DEPTH:
+        raise PropParseError(f"formula nests {levels} levels deep; the limit is {MAX_DEPTH}")
+    return f

@@ -1,6 +1,6 @@
 """Generators for the tests: hypothesis strategies for syntax trees,
 drawing both sorts of binder, and a seeded generator and a printer for
-propositional formulas."""
+formulas of the propositional fragment, whose atoms are equations p = 0."""
 
 import random
 from collections.abc import Sequence
@@ -8,8 +8,8 @@ from collections.abc import Sequence
 from hypothesis import strategies as st
 
 from bairelab.gen import FUN_POOL, NUM_POOL
-from bairelab.prop import PAnd, PAtom, PBot, PImp, PNot, POr, PropFormula
 from bairelab.syntax import (
+    FALSUM,
     Add,
     And,
     Apply,
@@ -35,6 +35,7 @@ from bairelab.syntax import (
     SeqExt,
     Succ,
     Term,
+    Zero,
     numeral,
 )
 
@@ -104,39 +105,44 @@ def formulas(
     return st.recursive(atoms, extend, max_leaves=10)
 
 
-def random_prop(rng: random.Random, depth: int, atoms: Sequence[str] = ("p", "q", "r")) -> PropFormula:
+def _atom(name: str) -> Formula:
+    return Eq(NumVar(name), Zero())
+
+
+def random_prop(rng: random.Random, depth: int, atoms: Sequence[str] = ("p", "q", "r")) -> Formula:
     if depth <= 0:
-        return PAtom(rng.choice(list(atoms)))
+        return _atom(rng.choice(list(atoms)))
     match rng.randrange(5):
         case 0:
-            return PAnd(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+            return And(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
         case 1:
-            return POr(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+            return Or(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
         case 2:
-            return PImp(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
+            return Imp(random_prop(rng, depth - 1, atoms), random_prop(rng, depth - 1, atoms))
         case 3:
-            return PNot(random_prop(rng, depth - 1, atoms))
+            return Not(random_prop(rng, depth - 1, atoms))
         case _:
-            return PAtom(rng.choice(list(atoms)))
+            return _atom(rng.choice(list(atoms)))
 
 
-def format_prop(f: PropFormula, prec: int = 0) -> str:
+def format_prop(f: Formula, prec: int = 0) -> str:
+    """The concrete syntax parse_prop reads: p for p = 0, bot for falsum."""
     # precedence: -> 1 (right assoc), | 2, & 3, ~ 4
     match f:
-        case PAtom(name):
+        case Eq(NumVar(name), Zero()):
             return name
-        case PBot():
+        case _ if f == FALSUM:
             return "bot"
-        case PImp(a, b):
+        case Imp(a, b):
             s = f"{format_prop(a, 2)} -> {format_prop(b, 1)}"
             return f"({s})" if prec > 1 else s
-        case POr(a, b):
+        case Or(a, b):
             s = f"{format_prop(a, 2)} | {format_prop(b, 3)}"
             return f"({s})" if prec > 2 else s
-        case PAnd(a, b):
+        case And(a, b):
             s = f"{format_prop(a, 3)} & {format_prop(b, 4)}"
             return f"({s})" if prec > 3 else s
-        case PNot(a):
+        case Not(a):
             return f"~{format_prop(a, 4)}"
         case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
+            raise TypeError(f"outside the propositional fragment: {f!r}")

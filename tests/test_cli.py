@@ -212,6 +212,17 @@ def test_oracle_classical():
     assert run("oracle", "classical", "p -> q")[1] == "not valid\n"
 
 
+@pytest.mark.parametrize("oracle", ["ipc", "classical"])
+@pytest.mark.parametrize("src", ["pQ", "\u00e9"], ids=["upper-case", "non-ascii"])
+def test_oracle_atoms_must_be_number_variable_names(oracle, src):
+    # an atom p stands for the equation p = 0, so its name must be one a
+    # number variable may take
+    code, out, err = run("oracle", oracle, src)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "number variable name" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_ipc_with_countermodel():
     code, out, _ = run("oracle", "ipc", "((p->q)->p)->p")
     lines = out.splitlines()
@@ -261,8 +272,10 @@ def test_oracle_ipc_machine_form():
         ("~" * (MAX_DEPTH - 1) + "p", "not provable", "not valid"),
         (" -> ".join(["p"] * MAX_DEPTH), "provable", "valid"),
         (" & ".join(["p"] * MAX_DEPTH), "not provable", "not valid"),
+        # an atom or bot is one level, though its equation nests deeper
+        ("~" * (MAX_DEPTH - 1) + "bot", "provable", "valid"),
     ],
-    ids=["not", "imp", "and"],
+    ids=["not", "imp", "and", "not-bot"],
 )
 def test_oracle_accepts_nesting_up_to_the_limit(src, ipc, classical):
     code, out, err = run("oracle", "ipc", src)

@@ -79,7 +79,7 @@ def test_rho_beyond_known_programs():
     assert rho(seqcode.encode([0, 0]), ZERO, {}) == 1
 
 
-def test_rho_uses_packaged_registry_by_default():
+def test_rho_on_the_packaged_registry():
     alpha = FiniteSupport(((0, 2),), default=0)
     programs = registry_programs(load_registry())
     assert rho(seqcode.encode([2]), alpha, programs) == 1

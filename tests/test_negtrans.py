@@ -10,14 +10,14 @@ from bairelab.negtrans import (
     repair_bi_clause1,
     simplify_decidable_atoms,
 )
-from bairelab.oracles import embed_prop, ipc_provable, project_prop
+from bairelab.oracles import ipc_provable
 from bairelab.parser import parse_formula
-from bairelab.prop import PImp, PNot
 from bairelab.schemas import SchemaKind, instantiate
 from bairelab.syntax import (
     BForallN,
     Eq,
     Formula,
+    Imp,
     Not,
     NumVar,
     Zero,
@@ -90,15 +90,15 @@ def test_stability_of_translated_formulas_at_propositional_scale():
     # exhaustive at a reduced size, then a seeded sample of deeper ones
     count = 0
     for f in gen.enumerate_prop_formulas(max_leaves=2, max_connectives=3):
-        tf = project_prop(neg_translate(embed_prop(f)))
-        assert ipc_provable(PImp(PNot(PNot(tf)), tf)), f
+        tf = neg_translate(f)
+        assert ipc_provable(Imp(Not(Not(tf)), tf)), f
         count += 1
     assert count == 282
     rng = random.Random(20260814)
     for _ in range(60):
         f = random_prop(rng, depth=4)
-        tf = project_prop(neg_translate(embed_prop(f)))
-        assert ipc_provable(PImp(PNot(PNot(tf)), tf)), f
+        tf = neg_translate(f)
+        assert ipc_provable(Imp(Not(Not(tf)), tf)), f
 
 
 def test_repair_on_concrete_instance():

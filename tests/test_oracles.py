@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,24 +7,16 @@ from hypothesis import strategies as st
 
 from bairelab import gen
 from bairelab.negtrans import neg_translate
+from bairelab.errors import BairelabError
 from bairelab.oracles import (
+    CLASSICAL_ATOM_BUDGET,
     AtomBudgetError,
     classical_valid,
-    embed_prop,
     ipc_provable,
     kripke_countermodel,
-    project_prop,
 )
-from bairelab.prop import (
-    PAnd,
-    PAtom,
-    PBot,
-    PImp,
-    PNot,
-    POr,
-    PropFormula,
-    parse_prop,
-)
+from bairelab.parser import parse_formula, parse_prop
+from bairelab.syntax import FALSUM, And, Eq, Formula, Imp, Not, NumVar, Or, Zero
 
 from strategies import format_prop, random_prop
 
@@ -32,27 +25,27 @@ from strategies import format_prop, random_prop
 # reference prover: G4ip over frozenset contexts of formula objects, the
 # representation ipc_provable used before it moved to interned ids
 
-def _norm(f: PropFormula) -> PropFormula:
-    """Eliminate PNot in favour of implication into falsum."""
+def _norm(f: Formula) -> Formula:
+    """Eliminate Not in favour of implication into falsum."""
     match f:
-        case PAtom(_) | PBot():
+        case Eq():
             return f
-        case PAnd(a, b):
-            return PAnd(_norm(a), _norm(b))
-        case POr(a, b):
-            return POr(_norm(a), _norm(b))
-        case PImp(a, b):
-            return PImp(_norm(a), _norm(b))
-        case PNot(a):
-            return PImp(_norm(a), PBot())
+        case And(a, b):
+            return And(_norm(a), _norm(b))
+        case Or(a, b):
+            return Or(_norm(a), _norm(b))
+        case Imp(a, b):
+            return Imp(_norm(a), _norm(b))
+        case Not(a):
+            return Imp(_norm(a), FALSUM)
         case _:
-            raise TypeError(f"not a propositional formula: {f!r}")
+            raise TypeError(f"outside the propositional fragment: {f!r}")
 
 
 def _prove(
-    gamma: frozenset[PropFormula],
-    goal: PropFormula,
-    memo: dict[tuple[frozenset[PropFormula], PropFormula], bool],
+    gamma: frozenset[Formula],
+    goal: Formula,
+    memo: dict[tuple[frozenset[Formula], Formula], bool],
 ) -> bool:
     key = (gamma, goal)
     hit = memo.get(key)
@@ -67,104 +60,139 @@ def _prove(
 
 def _prove_raw(gamma, goal, memo) -> bool:
     # axioms
-    if goal in gamma or PBot() in gamma:
+    if goal in gamma or FALSUM in gamma:
         return True
 
     # invertible right rules
     match goal:
-        case PAnd(a, b):
+        case And(a, b):
             return _prove(gamma, a, memo) and _prove(gamma, b, memo)
-        case PImp(a, b):
+        case Imp(a, b):
             return _prove(gamma | {a}, b, memo)
 
     # invertible left rules, one at a time
     for f in gamma:
         rest = gamma - {f}
         match f:
-            case PAnd(a, b):
+            case And(a, b):
                 return _prove(rest | {a, b}, goal, memo)
-            case POr(a, b):
+            case Or(a, b):
                 return _prove(rest | {a}, goal, memo) and _prove(rest | {b}, goal, memo)
-            case PImp(PBot(), _):
+            case Imp(a, _) if a == FALSUM:
                 return _prove(rest, goal, memo)
-            case PImp(PAtom(_) as p, c):
+            case Imp(Eq() as p, c):
                 if p in gamma:
                     return _prove(rest | {c}, goal, memo)
-            case PImp(PAnd(a, b), c):
-                return _prove(rest | {PImp(a, PImp(b, c))}, goal, memo)
-            case PImp(POr(a, b), c):
-                return _prove(rest | {PImp(a, c), PImp(b, c)}, goal, memo)
+            case Imp(And(a, b), c):
+                return _prove(rest | {Imp(a, Imp(b, c))}, goal, memo)
+            case Imp(Or(a, b), c):
+                return _prove(rest | {Imp(a, c), Imp(b, c)}, goal, memo)
 
     # choice points
-    if isinstance(goal, POr):
+    if isinstance(goal, Or):
         if _prove(gamma, goal.left, memo) or _prove(gamma, goal.right, memo):
             return True
     for f in gamma:
         match f:
-            case PImp(PImp(a, b), c):
+            case Imp(Imp(a, b), c):
                 rest = gamma - {f}
-                if _prove(rest | {PImp(b, c)}, PImp(a, b), memo) and _prove(
+                if _prove(rest | {Imp(b, c)}, Imp(a, b), memo) and _prove(
                     rest | {c}, goal, memo
                 ):
                     return True
     return False
 
 
-def reference_provable(f: PropFormula) -> bool:
+def reference_provable(f: Formula) -> bool:
     return _prove(frozenset(), _norm(f), {})
 
 
-def _atom_order(f: PropFormula, seen: list[str]) -> list[str]:
+def _atom_order(f: Formula, seen: list[str]) -> list[str]:
     match f:
-        case PAtom(name):
+        case Eq(NumVar(name), Zero()):
             if name not in seen:
                 seen.append(name)
-        case PNot(a):
+        case Not(a):
             _atom_order(a, seen)
-        case PAnd(a, b) | POr(a, b) | PImp(a, b):
+        case And(a, b) | Or(a, b) | Imp(a, b):
             _atom_order(a, seen)
             _atom_order(b, seen)
     return seen
 
 
+def _holds(f: Formula, true_atoms: set[str]) -> bool:
+    match f:
+        case Eq(NumVar(name), Zero()):
+            return name in true_atoms
+        case And(a, b):
+            return _holds(a, true_atoms) and _holds(b, true_atoms)
+        case Or(a, b):
+            return _holds(a, true_atoms) or _holds(b, true_atoms)
+        case Imp(a, b):
+            return not _holds(a, true_atoms) or _holds(b, true_atoms)
+        case Not(a):
+            return not _holds(a, true_atoms)
+    return False  # falsum
+
+
+def reference_valid(f: Formula) -> bool:
+    """Truth tables one valuation at a time, as classical_valid did before
+    it moved to bit masks."""
+    names = _atom_order(f, [])
+    return all(
+        _holds(f, {n for n, b in zip(names, bits) if b})
+        for bits in product((False, True), repeat=len(names))
+    )
+
+
 # ---------------------------------------------------------------------------
 
-P, Q, R = PAtom("p"), PAtom("q"), PAtom("r")
-LEM = POr(P, PNot(P))
-PEIRCE = PImp(PImp(PImp(P, Q), P), P)
+P, Q, R = (Eq(NumVar(name), Zero()) for name in "pqr")
+LEM = Or(P, Not(P))
+PEIRCE = Imp(Imp(Imp(P, Q), P), P)
 
 
 def test_parse_format_prop():
     f = parse_prop("(p -> q) -> ~p | q & r")
-    assert f == PImp(PImp(P, Q), POr(PNot(P), PAnd(Q, R)))
+    assert f == Imp(Imp(P, Q), Or(Not(P), And(Q, R)))
+    assert f == parse_formula("(p = 0 -> q = 0) -> ~p = 0 | q = 0 & r = 0")
     assert parse_prop(format_prop(f)) == f
-    assert parse_prop("bot") == PBot()
+    assert parse_prop("bot") == FALSUM
 
 
 def test_classical_known():
     assert classical_valid(LEM)
     assert classical_valid(PEIRCE)
-    assert classical_valid(PImp(PNot(PNot(P)), P))
-    assert not classical_valid(PImp(P, Q))
-    assert classical_valid(PImp(PBot(), P))
-    assert not classical_valid(PBot())
+    assert classical_valid(Imp(Not(Not(P)), P))
+    assert not classical_valid(Imp(P, Q))
+    assert classical_valid(Imp(FALSUM, P))
+    assert not classical_valid(FALSUM)
+
+
+def test_classical_agrees_with_reference_truth_tables():
+    formulas = list(gen.enumerate_prop_formulas(max_leaves=3, max_connectives=4))
+    rng = random.Random(41)
+    formulas += [random_prop(rng, depth=5, atoms="pqrst") for _ in range(300)]
+    formulas += [Imp(f, FALSUM) for f in formulas[:200]]
+    for f in formulas:
+        assert classical_valid(f) == reference_valid(f), format_prop(f)
 
 
 def test_ipc_known():
-    assert ipc_provable(PImp(P, P))
+    assert ipc_provable(Imp(P, P))
     assert not ipc_provable(LEM)
-    assert ipc_provable(PNot(PNot(LEM)))
+    assert ipc_provable(Not(Not(LEM)))
     assert not ipc_provable(PEIRCE)
-    assert ipc_provable(PImp(P, PNot(PNot(P))))
-    assert not ipc_provable(PImp(PNot(PNot(P)), P))
+    assert ipc_provable(Imp(P, Not(Not(P))))
+    assert not ipc_provable(Imp(Not(Not(P)), P))
     # currying both ways
-    assert ipc_provable(PImp(PImp(PAnd(P, Q), R), PImp(P, PImp(Q, R))))
-    assert ipc_provable(PImp(PImp(P, PImp(Q, R)), PImp(PAnd(P, Q), R)))
+    assert ipc_provable(Imp(Imp(And(P, Q), R), Imp(P, Imp(Q, R))))
+    assert ipc_provable(Imp(Imp(P, Imp(Q, R)), Imp(And(P, Q), R)))
     # one de Morgan law fails, the other holds
-    assert not ipc_provable(PImp(PNot(PAnd(P, Q)), POr(PNot(P), PNot(Q))))
-    assert ipc_provable(PImp(PNot(POr(P, Q)), PAnd(PNot(P), PNot(Q))))
-    assert ipc_provable(PImp(POr(PNot(P), Q), PImp(P, Q)))
-    assert ipc_provable(PImp(PBot(), P))
+    assert not ipc_provable(Imp(Not(And(P, Q)), Or(Not(P), Not(Q))))
+    assert ipc_provable(Imp(Not(Or(P, Q)), And(Not(P), Not(Q))))
+    assert ipc_provable(Imp(Or(Not(P), Q), Imp(P, Q)))
+    assert ipc_provable(Imp(FALSUM, P))
 
 
 def test_ipc_implies_classical():
@@ -179,12 +207,12 @@ def test_glivenko():
     rng = random.Random(7)
     for _ in range(200):
         f = random_prop(rng, depth=4)
-        assert classical_valid(f) == ipc_provable(PNot(PNot(f)))
+        assert classical_valid(f) == ipc_provable(Not(Not(f)))
 
 
 def test_kripke_cross_check():
-    cases = [LEM, PEIRCE, PImp(PNot(PNot(P)), P), PImp(P, P), PNot(PNot(LEM)),
-             PImp(PNot(PAnd(P, Q)), POr(PNot(P), PNot(Q)))]
+    cases = [LEM, PEIRCE, Imp(Not(Not(P)), P), Imp(P, P), Not(Not(LEM)),
+             Imp(Not(And(P, Q)), Or(Not(P), Not(Q)))]
     rng = random.Random(13)
     cases += [random_prop(rng, depth=3) for _ in range(40)]
     for f in cases:
@@ -199,25 +227,32 @@ def test_kripke_cross_check():
 def test_kripke_finds_small_countermodels():
     assert kripke_countermodel(LEM) is not None
     assert kripke_countermodel(PEIRCE) is not None
-    assert kripke_countermodel(PImp(P, P)) is None
+    assert kripke_countermodel(Imp(P, P)) is None
 
 
 def test_atom_budget():
-    many = PAtom("a0")
-    for i in range(1, 25):
-        many = PAnd(many, PAtom(f"a{i}"))
+    atoms = [Eq(NumVar(f"a{i}"), Zero()) for i in range(25)]
+    many = atoms[0]
+    for a in atoms[1:]:
+        many = And(many, a)
     with pytest.raises(AtomBudgetError):
         classical_valid(many)
     with pytest.raises(AtomBudgetError):
         ipc_provable(many)
+    # exactly at the budget: every valuation is still read
+    edge = atoms[:CLASSICAL_ATOM_BUDGET]
+    conj = disj = edge[0]
+    for a in edge[1:]:
+        conj, disj = And(conj, a), Or(disj, a)
+    assert classical_valid(Imp(conj, disj))
+    assert not classical_valid(Imp(disj, conj))
 
 
-def test_embed_project_roundtrip():
-    rng = random.Random(3)
-    for _ in range(100):
-        f = random_prop(rng, depth=4)
-        assert project_prop(embed_prop(f)) == f
-    assert project_prop(embed_prop(PBot())) == PBot()
+@pytest.mark.parametrize("src", ["forall x. x = 0", "x = 1", "p = 0 & @a(0) = 0"])
+@pytest.mark.parametrize("oracle", [classical_valid, ipc_provable, kripke_countermodel])
+def test_oracles_refuse_formulas_outside_the_fragment(oracle, src):
+    with pytest.raises(BairelabError, match="outside the propositional fragment"):
+        oracle(parse_formula(src))
 
 
 def test_translation_oracle_agreement_small():
@@ -225,7 +260,7 @@ def test_translation_oracle_agreement_small():
     total = 0
     for f in gen.enumerate_prop_formulas(max_leaves=2, max_connectives=3):
         want = classical_valid(f)
-        got = ipc_provable(project_prop(neg_translate(embed_prop(f))))
+        got = ipc_provable(neg_translate(f))
         assert want == got, format_prop(f)
         total += 1
     assert total == 282
@@ -236,7 +271,7 @@ def test_translation_oracle_agreement_small():
 def test_glivenko_hypothesis_seeded(seed):
     rng = random.Random(seed)
     f = random_prop(rng, depth=5)
-    assert classical_valid(f) == ipc_provable(PNot(PNot(f)))
+    assert classical_valid(f) == ipc_provable(Not(Not(f)))
 
 
 def test_ipc_agrees_with_reference_on_raw_formulas():
@@ -260,7 +295,7 @@ def test_ipc_agrees_with_reference_on_translations():
     assert len(reps) == 5256
     provable = 0
     for f in reps:
-        image = project_prop(neg_translate(embed_prop(f)))
+        image = neg_translate(f)
         got = ipc_provable(image)
         assert got == reference_provable(image), format_prop(f)
         provable += got
