@@ -25,11 +25,16 @@ have allowed progress at the farthest point reached.
 Input nested deeper than MAX_DEPTH levels is refused with a NestingError,
 both while parsing (brackets, prefix operators, binders) and in the
 finished tree (long chains of `&` or `+`, numerals).
+
+parse_prop reads the oracles' propositional formulas with the same lexer
+and the same `imp`/`or`/`and`/`neg` productions; only its atom differs:
+`'(' formula ')'`, `bot` for falsum, or a name p for the equation p = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import BairelabError
 from .syntax import (
@@ -153,9 +158,11 @@ def tokenize(src: str) -> list[Token]:
             continue
         if c.islower():
             j = i
-            while j < n and (src[j].isalnum() and not src[j].isupper() or src[j] in "_'"):
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
                 j += 1
             word = src[i:j]
+            if not NUM_NAME.match(word):
+                raise ParseError(f"invalid number variable name {word!r}", line, col)
             kind = word.upper() if word in KEYWORDS else "IDENT"
             toks.append(Token(kind, word, line, col))
             col += j - i
@@ -181,6 +188,8 @@ class _State:
     fail_pos: int = -1
     fail_expected: set[str] = field(default_factory=set)
     depth: int = 0  # nesting levels open at pos
+    # the atom production: _atom, or parse_prop's own
+    atom: Callable[[_State], Formula] = field(default_factory=lambda: _atom)
 
     def enter(self) -> None:
         self.depth += 1
@@ -278,7 +287,7 @@ def _neg(st: _State) -> Formula:
         return f
     if st.at("FORALL") or st.at("EXISTS"):
         return _quant(st)
-    return _atom(st)
+    return st.atom(st)
 
 
 def _quant(st: _State) -> Formula:
@@ -472,10 +481,6 @@ def _lambda_tail(st: _State) -> Functor:
 # -- propositional formulas -------------------------------------------------
 
 
-class PropParseError(BairelabError):
-    pass
-
-
 def _prop_depth(f: Formula) -> int:
     """Levels of formula nodes, so an atom or falsum is one level; counted
     level by level without recursion."""
@@ -486,101 +491,31 @@ def _prop_depth(f: Formula) -> int:
     return depth
 
 
+def _prop_atom(st: _State) -> Formula:
+    if st.eat("LPAR"):
+        f = _imp(st)
+        st.take("RPAR")
+        return f
+    if not st.at("IDENT"):
+        st.want("IDENT", "LPAR")
+        raise st.error()
+    name = st.take("IDENT").text
+    return FALSUM if name == "bot" else Eq(NumVar(name), Zero())
+
+
 def parse_prop(src: str) -> Formula:
-    """Parse `~ & | ->` over atoms, which are number variable names; `bot`
-    is falsum.  An atom p stands for the equation p = 0, so the result lies
-    in the object language's propositional fragment.  Like parse_formula,
-    it refuses nesting deeper than MAX_DEPTH levels."""
-    toks: list[str] = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c.isalpha() and c.islower():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(src[i:j])
-            i = j
-        elif src.startswith("->", i):
-            toks.append("->")
-            i += 2
-        elif c in "~&|()":
-            toks.append(c)
-            i += 1
-        else:
-            raise PropParseError(f"unexpected character {c!r} at offset {i}")
-    toks.append("<eof>")
-    pos = [0]
-    depth = [0]  # nesting levels open at pos
-
-    def peek() -> str:
-        return toks[pos[0]]
-
-    def take(t: str) -> None:
-        if peek() != t:
-            raise PropParseError(f"expected {t!r}, got {peek()!r}")
-        pos[0] += 1
-
-    def enter() -> None:
-        depth[0] += 1
-        if depth[0] > MAX_DEPTH:
-            raise PropParseError(f"nesting deeper than {MAX_DEPTH} levels")
-
-    def p_imp() -> Formula:
-        enter()
-        a = p_or()
-        if peek() == "->":
-            take("->")
-            a = Imp(a, p_imp())
-        depth[0] -= 1
-        return a
-
-    def p_or() -> Formula:
-        a = p_and()
-        while peek() == "|":
-            take("|")
-            a = Or(a, p_and())
-        return a
-
-    def p_and() -> Formula:
-        a = p_neg()
-        while peek() == "&":
-            take("&")
-            a = And(a, p_neg())
-        return a
-
-    def p_neg() -> Formula:
-        if peek() == "~":
-            take("~")
-            enter()
-            a = Not(p_neg())
-            depth[0] -= 1
-            return a
-        return p_atom()
-
-    def p_atom() -> Formula:
-        t = peek()
-        if t == "(":
-            take("(")
-            f = p_imp()
-            take(")")
-            return f
-        if t == "bot":
-            take("bot")
-            return FALSUM
-        if NUM_NAME.match(t):
-            take(t)
-            return Eq(NumVar(t), Zero())
-        if t[0].isalpha():
-            raise PropParseError(f"atom {t!r} is not a number variable name")
-        raise PropParseError(f"expected an atom, got {t!r}")
-
-    f = p_imp()
-    if peek() != "<eof>":
-        raise PropParseError(f"trailing input at {peek()!r}")
+    """Parse `~ & | ->` over atoms, which are number variable names, keywords
+    included; `bot` is falsum.  An atom p stands for the equation p = 0, so
+    the result lies in the object language's propositional fragment.  Like
+    parse_formula, it refuses nesting deeper than MAX_DEPTH levels, counted
+    in formula levels."""
+    toks = [Token("IDENT", t.text, t.line, t.col) if t.text in KEYWORDS else t for t in tokenize(src)]
+    st = _State(toks, atom=_prop_atom)
+    f = _imp(st)
+    if not st.at("EOF"):
+        st.want("EOF")
+        raise st.error()
     levels = _prop_depth(f)
     if levels > MAX_DEPTH:
-        raise PropParseError(f"formula nests {levels} levels deep; the limit is {MAX_DEPTH}")
+        raise NestingError(f"formula nests {levels} levels deep; the limit is {MAX_DEPTH}", 1, 1)
     return f

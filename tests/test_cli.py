@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bairelab
 from bairelab import cli, seqcode
@@ -302,6 +304,42 @@ def test_oracle_refuses_nesting_over_the_limit(src, oracle):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and f"{MAX_DEPTH}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("oracle", ["ipc", "classical"])
+@pytest.mark.parametrize(
+    "src, col",
+    [("p ->", 5), ("(p", 3), ("p q", 3), ("0", 1), ("S", 1), ("p = 0", 3), ("@a", 1), ("p & & q", 5)],
+)
+def test_oracle_refusals_carry_a_position(oracle, src, col):
+    code, out, err = run("oracle", oracle, src)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: 1:{col}: ")
+
+
+def test_oracle_refusal_names_the_expected_tokens():
+    assert run("oracle", "ipc", "p ->")[2] == (
+        "error: 1:5: unexpected 'end of input' (expected one of: IDENT, LPAR)\n"
+    )
+
+
+# atoms, a keyword, connectives and brackets, then tokens no atom may hold
+_PROP_PIECES = ["p", "q", "bot", "forall", "p'", "~", "&", "|", "->", "(", ")", " "]
+_PROP_PIECES += ["pQ", "S", "0", "=", "@a", "\u00e9", "-", ">"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["ipc", "classical"]),
+    st.lists(st.sampled_from(_PROP_PIECES), max_size=10).map("".join),
+)
+def test_oracle_exit_code_contract(oracle, src):
+    # argparse reads an argument that opens with '-' as an option: usage, exit 2
+    code, out, err = run("oracle", oracle, src)
+    assert code in (0, 1) or (code == 2 and src.startswith("-"))
+    assert err.startswith("error: ") == (code == 1)
+    if code == 0:
+        assert out and not err
 
 
 # --- realizability -----------------------------------------------------------

@@ -16,6 +16,7 @@ from bairelab.oracles import (
     kripke_countermodel,
 )
 from bairelab.parser import parse_formula, parse_prop
+from bairelab.printer import format_formula
 from bairelab.syntax import FALSUM, And, Eq, Formula, Imp, Not, NumVar, Or, Zero
 
 from strategies import format_prop, random_prop
@@ -158,6 +159,17 @@ def test_parse_format_prop():
     assert f == parse_formula("(p = 0 -> q = 0) -> ~p = 0 | q = 0 & r = 0")
     assert parse_prop(format_prop(f)) == f
     assert parse_prop("bot") == FALSUM
+    # an atom is any number variable name, keywords included
+    for name in ("p'", "forall", "ap", "lam"):
+        atom = Eq(NumVar(name), Zero())
+        assert parse_prop(f"{name} -> {name}") == Imp(atom, atom)
+    formulas = list(gen.enumerate_prop_formulas(max_leaves=3, max_connectives=4))
+    rng = random.Random(43)
+    formulas += [random_prop(rng, depth=5, atoms="pqrst") for _ in range(300)]
+    assert len(formulas) == 10_761 + 300
+    for f in formulas:
+        assert parse_prop(format_prop(f)) == f
+        assert parse_formula(format_formula(f)) == f
 
 
 def test_classical_known():
