@@ -17,10 +17,13 @@ Grammar sketch (precedence low to high):
               |  'ext' '(' term ',' term ')' | 'barof' '(' functor ',' term ')'
               |  '(' term ')'
 
-Number variables are lower-case identifiers, function variables start with
-`@`.  Binders use maximal right scope.  `*` binds tighter than `+`; both
-associate left.  Errors carry line and column plus the tokens that would
-have allowed progress at the farthest point reached.
+The lexer is one token table, a compiled regex with a named group per
+token kind, and one name rule for both sorts: a word is `S`, a keyword, a
+number variable (lower-case identifier) or, with a leading `@`, a function
+variable, and a word that is none of these is refused with its position.
+Numerals are ASCII digits.  Binders use maximal right scope.  `*` binds
+tighter than `+`; both associate left.  Errors carry line and column plus
+the tokens that would have allowed progress at the farthest point reached.
 
 Input nested deeper than MAX_DEPTH levels is refused with a NestingError,
 both while parsing (brackets, prefix operators, binders) and in the
@@ -33,8 +36,9 @@ and the same `imp`/`or`/`and`/`neg` productions; only its atom differs:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import BairelabError
 from .syntax import (
@@ -54,6 +58,7 @@ from .syntax import (
     Functor,
     Imp,
     FALSUM,
+    FUN_NAME,
     NUM_NAME,
     Lambda,
     Mul,
@@ -78,21 +83,15 @@ so all of them stay well inside Python's default recursion limit."""
 
 KEYWORDS = frozenset({"forall", "exists", "lam", "barof", "ext", "ap"})
 
-_PUNCT = (
-    ("->", "ARROW"),
-    ("~", "NOT"),
-    ("&", "AND"),
-    ("|", "OR"),
-    ("=", "EQ"),
-    ("<", "LT"),
-    ("(", "LPAR"),
-    (")", "RPAR"),
-    (".", "DOT"),
-    (",", "COMMA"),
-    ("+", "PLUS"),
-    ("*", "STAR"),
-    ("^", "CARET"),
+_TOKEN = re.compile(
+    r"""(?P<NL>\n) | (?P<WS>[ \t\r]+) | (?P<NUM>[0-9]+) | (?P<NAME>@?[\w']+)
+      | (?P<ARROW>->) | (?P<NOT>~) | (?P<AND>&) | (?P<OR>\|) | (?P<EQ>=) | (?P<LT><)
+      | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<DOT>\.) | (?P<COMMA>,) | (?P<PLUS>\+)
+      | (?P<STAR>\*) | (?P<CARET>\^) | (?P<BAD>.)""",
+    re.VERBOSE,
 )
+
+T = TypeVar("T")
 
 
 class ParseError(BairelabError):
@@ -110,8 +109,7 @@ class NestingError(ParseError):
     """Input nested deeper than MAX_DEPTH levels."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -120,63 +118,29 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "S" and not (i + 1 < n and (src[i + 1].isalnum() or src[i + 1] in "_'")):
-            toks.append(Token("SUCC", "S", line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("NUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "@":
-            j = i + 1
-            if j >= n or not src[j].islower():
-                raise ParseError("bad function variable", line, col)
-            while j < n and (src[j].isalnum() and not src[j].isupper() or src[j] in "_'"):
-                j += 1
-            toks.append(Token("FVAR", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.islower():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            if not NUM_NAME.match(word):
-                raise ParseError(f"invalid number variable name {word!r}", line, col)
-            kind = word.upper() if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for text, kind in _PUNCT:
-            if src.startswith(text, i):
-                toks.append(Token(kind, text, line, col))
-                i += len(text)
-                col += len(text)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        match kind:
+            case "NL":
+                line, line_start = line + 1, m.end()
+                continue
+            case "WS":
+                continue
+            case "BAD":
+                raise ParseError(f"unexpected character {text!r}", line, col)
+            case "NAME" if text == "S":
+                kind = "SUCC"
+            case "NAME" if text[0] == "@":
+                if not FUN_NAME.match(text):
+                    raise ParseError(f"invalid function variable name {text!r}", line, col)
+                kind = "FVAR"
+            case "NAME":
+                if not NUM_NAME.match(text):
+                    raise ParseError(f"invalid number variable name {text!r}", line, col)
+                kind = text.upper() if text in KEYWORDS else "IDENT"
+        toks.append(Token(kind, text, line, col))
+    toks.append(Token("EOF", "", line, len(src) - line_start + 1))
     return toks
 
 
@@ -222,6 +186,18 @@ class _State:
             self.fail_expected = set(kinds)
         elif self.pos == self.fail_pos:
             self.fail_expected.update(kinds)
+
+    def attempt(self, production: Callable[..., T], *args) -> T | None:
+        """The production's result, or None with pos and depth restored if it
+        fails; nesting too deep is final and always propagates."""
+        mark = self.pos, self.depth
+        try:
+            return production(self, *args)
+        except NestingError:
+            raise
+        except ParseError:
+            self.pos, self.depth = mark
+            return None
 
     def error(self) -> ParseError:
         at = self.toks[min(max(self.fail_pos, self.pos), len(self.toks) - 1)]
@@ -312,23 +288,18 @@ def _quant(st: _State) -> Formula:
     raise st.error()
 
 
+def _parens(st: _State, production: Callable[[_State], T]) -> T:
+    st.take("LPAR")
+    x = production(st)
+    st.take("RPAR")
+    return x
+
+
 def _atom(st: _State) -> Formula:
-    if st.at("LPAR"):
-        # both a parenthesized formula and a parenthesized left term start
-        # here; try the formula reading first and fall back
-        mark = st.pos, st.depth
-        st.take("LPAR")
-        try:
-            f = _imp(st)
-            st.take("RPAR")
-            return f
-        except NestingError:
-            raise
-        except ParseError:
-            st.pos, st.depth = mark
-        t = _term(st)
-        st.take("EQ")
-        return Eq(t, _term(st))
+    # both a parenthesized formula and a parenthesized left term open with
+    # '(': try the formula reading first and fall back
+    if st.at("LPAR") and (f := st.attempt(_parens, _imp)) is not None:
+        return f
     t = _term(st)
     st.take("EQ")
     return Eq(t, _term(st))
@@ -350,13 +321,7 @@ def _factor(st: _State) -> Term:
     # pairing sugar: 2^a * 3^b, recognized by lookahead before plain products
     t: Term | None = None
     if st.at("NUM") and st.peek().text == "2" and st.peek(1).kind == "CARET":
-        mark = st.pos, st.depth
-        try:
-            t = _pair(st)
-        except NestingError:
-            raise
-        except ParseError:
-            st.pos, st.depth = mark
+        t = st.attempt(_pair)
     if t is None:
         t = _prim(st)
     while st.eat("STAR"):
@@ -388,10 +353,7 @@ def _prim(st: _State) -> Term:
             return numeral(int(t.text))
         case "SUCC":
             st.take("SUCC")
-            st.take("LPAR")
-            inner = _term(st)
-            st.take("RPAR")
-            return Succ(inner)
+            return Succ(_parens(st, _term))
         case "IDENT":
             st.take("IDENT")
             return NumVar(t.text)
@@ -411,29 +373,12 @@ def _prim(st: _State) -> Term:
             ln = _term(st)
             st.take("RPAR")
             return PrefixCode(f, ln)
-        case "FVAR" | "LAM" | "AP":
+        # a lambda functor also opens with '(': try a plain term first
+        case "LPAR" if (inner := st.attempt(_parens, _term)) is not None:
+            return inner
+        case "FVAR" | "LAM" | "AP" | "LPAR":
             f = _functor(st)
-            st.take("LPAR")
-            arg = _term(st)
-            st.take("RPAR")
-            return Apply(f, arg)
-        case "LPAR":
-            # a lambda functor also opens with '(': try a plain term first
-            mark = st.pos, st.depth
-            st.take("LPAR")
-            try:
-                inner = _term(st)
-                st.take("RPAR")
-                return inner
-            except NestingError:
-                raise
-            except ParseError:
-                st.pos, st.depth = mark
-            f = _functor(st)
-            st.take("LPAR")
-            arg = _term(st)
-            st.take("RPAR")
-            return Apply(f, arg)
+            return Apply(f, _parens(st, _term))
         case _:
             st.want("NUM", "SUCC", "IDENT", "FVAR", "LAM", "AP", "EXT", "BAROF", "LPAR")
             raise st.error()
@@ -460,9 +405,7 @@ def _functor(st: _State) -> Functor:
         case "LAM":
             f = _lambda_tail(st)
         case "LPAR":
-            st.take("LPAR")
-            f = _functor(st)
-            st.take("RPAR")
+            f = _parens(st, _functor)
         case _:
             st.want("FVAR", "LAM", "AP", "LPAR")
             raise st.error()
@@ -492,10 +435,8 @@ def _prop_depth(f: Formula) -> int:
 
 
 def _prop_atom(st: _State) -> Formula:
-    if st.eat("LPAR"):
-        f = _imp(st)
-        st.take("RPAR")
-        return f
+    if st.at("LPAR"):
+        return _parens(st, _imp)
     if not st.at("IDENT"):
         st.want("IDENT", "LPAR")
         raise st.error()
@@ -509,7 +450,7 @@ def parse_prop(src: str) -> Formula:
     the result lies in the object language's propositional fragment.  Like
     parse_formula, it refuses nesting deeper than MAX_DEPTH levels, counted
     in formula levels."""
-    toks = [Token("IDENT", t.text, t.line, t.col) if t.text in KEYWORDS else t for t in tokenize(src)]
+    toks = [t._replace(kind="IDENT") if t.text in KEYWORDS else t for t in tokenize(src)]
     st = _State(toks, atom=_prop_atom)
     f = _imp(st)
     if not st.at("EOF"):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import bairelab
 from bairelab import cli, seqcode
 from bairelab.cli import build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
-from bairelab.parser import MAX_DEPTH, parse_formula
+from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula, parse_functor, parse_term
 from bairelab.schemas import PAPER_MP_DISPLAY
 from bairelab.syntax import tree_depth
 
@@ -338,6 +339,25 @@ def test_oracle_exit_code_contract(oracle, src):
     code, out, err = run("oracle", oracle, src)
     assert code in (0, 1) or (code == 2 and src.startswith("-"))
     assert err.startswith("error: ") == (code == 1)
+    if code == 0:
+        assert out and not err
+
+
+# object-language tokens, keywords, line breaks, then pieces no token may hold
+_FORMULA_PIECES = ["x", "y'", "@a", "0", "2", "3", "S", "->", "~", "&", "|", "=", "<"]
+_FORMULA_PIECES += ["(", ")", ".", ",", "+", "*", "^", " ", "\n", "\t", *sorted(KEYWORDS)]
+_FORMULA_PIECES += ["\u00b2", "\u0661", "@\u00e9", "\u00c9", "@", "@A", "Sx", "X", "'", "\x0c"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FORMULA_PIECES), max_size=12).map("".join))
+def test_parse_refusals_are_parse_errors_with_a_position(src):
+    for parse in (parse_formula, parse_term, parse_functor):
+        with contextlib.suppress(ParseError):
+            assert parse(src) is not None
+    code, out, err = run("parse", src)
+    assert code in (0, 1) or (code == 2 and src.startswith("-"))
+    assert (re.match(r"error: \d+:\d+: ", err) is not None) == (code == 1)
     if code == 0:
         assert out and not err
 

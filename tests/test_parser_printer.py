@@ -141,6 +141,36 @@ def test_parse_error_reports_farthest_point():
     assert ei.value.col >= 9
 
 
+@pytest.mark.parametrize(
+    "src, col",
+    # a superscript digit, a function name outside [a-z0-9_'], an Arabic-Indic
+    # digit: the lexer refuses each with its position
+    [("\u00b2", 1), ("@\u00e9(0) = 0", 1), ("x = \u0661", 5)],
+)
+def test_lexer_refuses_foreign_names_and_digits_with_a_position(src, col):
+    with pytest.raises(ParseError) as ei:
+        parse_formula(src)
+    assert (ei.value.line, ei.value.col) == (1, col)
+    assert str(ei.value).startswith(f"1:{col}: ")
+
+
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("x = 0 &\n  y = ", 2, 7, "unexpected 'end of input'"),
+        ("x = 0\n\t& y = 0 ~", 2, 10, "unexpected '~'"),
+        ("forall x.\n\n   x = 0 |\n q", 4, 3, "unexpected 'end of input'"),
+        ("x = 0\r\n& y", 2, 4, "unexpected 'end of input'"),
+        ("\n\n   ? = 0", 3, 4, "unexpected character '?'"),
+    ],
+)
+def test_parse_error_positions_past_the_first_line(src, line, col, message):
+    with pytest.raises(ParseError) as ei:
+        parse_formula(src)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert str(ei.value).startswith(f"{line}:{col}: {message}")
+
+
 def test_print_simple_formulas():
     f = Imp(Eq(NumVar("x"), Zero()), Eq(NumVar("y"), Zero()))
     assert format_formula(f) == "x = 0 -> y = 0"
