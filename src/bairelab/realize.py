@@ -171,89 +171,62 @@ def eval_functor(f: Functor, env: Env, fuel: int) -> BaireElement:
 
 # --- three-valued truth on the checkable fragment ---------------------------
 
-# None means "not settled within fuel": unbounded exists can only come
-# back True or unsettled, unbounded forall only False or unsettled.
+# Truth is 1 (true), -1 (false) or 0 (not settled within fuel), so the
+# strong Kleene connectives are min, max and negation.  An unbounded
+# exists can only come back 1 or 0, an unbounded forall only -1 or 0.
 
 
-def _truth(f: Formula, env: Env, fuel: int) -> Optional[bool]:
+def _truth(f: Formula, env: Env, fuel: int) -> int:
     match f:
         case Eq(a, b):
-            return eval_term(a, env, fuel) == eval_term(b, env, fuel)
+            return 1 if eval_term(a, env, fuel) == eval_term(b, env, fuel) else -1
         case And(a, b):
-            return _kleene_and(_truth(a, env, fuel), _truth(b, env, fuel))
+            return min(_truth(a, env, fuel), _truth(b, env, fuel))
         case Or(a, b):
-            ta, tb = _truth(a, env, fuel), _truth(b, env, fuel)
-            return _kleene_not(_kleene_and(_kleene_not(ta), _kleene_not(tb)))
+            return max(_truth(a, env, fuel), _truth(b, env, fuel))
         case Imp(a, b):
-            return _kleene_not(_kleene_and(_truth(a, env, fuel), _kleene_not(_truth(b, env, fuel))))
+            return max(-_truth(a, env, fuel), _truth(b, env, fuel))
         case Not(a):
-            return _kleene_not(_truth(a, env, fuel))
+            return -_truth(a, env, fuel)
         case ForallN() | ExistsN() | BForallN() | BExistsN() | ForallF() | ExistsF():
-            universal = isinstance(f, (ForallN, BForallN, ForallF))
-            values = _values(f, env, fuel)
-            if values is None:
-                return _search(f.body, f.var, env, fuel, expect=not universal)
-            return _sweep(f.body, f.var, values, env, fuel, universal)
+            # a universal is decided by a false instance, an existential
+            # by a true one
+            decider = -1 if isinstance(f, (ForallN, BForallN, ForallF)) else 1
+            values, complete = _values(f, env, fuel)
+            hit, unsettled = _scan(f.body, f.var, values, env, fuel, decider)
+            if hit is not None:
+                return decider
+            return 0 if unsettled or not complete else -decider
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _kleene_and(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
-
-
-def _kleene_not(a: Optional[bool]) -> Optional[bool]:
-    return None if a is None else not a
-
-
 def _values(f: Formula, env: Env, fuel: int):
-    """What quantifier f's variable ranges over: the range below f's
-    bound, a range from env, None for a number variable env gives none."""
+    """The values quantifier f's variable ranges over, and whether they
+    are all of its range: the range below f's bound and a range from env
+    are; 0..fuel, for a number variable env gives no range, is not."""
     match f:
         case BForallN(_, bound, _) | BExistsN(_, bound, _):
-            return range(eval_term(bound, env, fuel))
-        case ForallN(var, _) | ExistsN(var, _):
-            return _num_range(env, var)
+            return range(eval_term(bound, env, fuel)), True
     value = env.get(f.var)
     if isinstance(value, (list, tuple)):
-        return list(value)
+        return value, True
+    if isinstance(f, (ForallN, ExistsN)):
+        return range(fuel + 1), False
     if isinstance(value, BaireElement):
-        return [value]
+        return [value], True
     raise FragmentError(f"function quantifier over {f.var} needs a finite range in env")
 
 
-def _num_range(env: Env, var: str):
-    value = env.get(var)
-    if isinstance(value, (list, tuple)):
-        return value
-    return None
-
-
-def _search(
-    body: Formula, var: str, env: Env, fuel: int, expect: bool
-) -> Optional[bool]:
-    # Unbounded quantifier: scan 0..fuel for a deciding instance.  A hit
-    # settles it; exhausting fuel settles nothing.
-    for n in range(fuel + 1):
-        if _truth(body, {**env, var: n}, fuel) is expect:
-            return expect
-    return None
-
-
-def _sweep(
-    body: Formula, var: str, values, env: Env, fuel: int, universal: bool
-) -> Optional[bool]:
+def _scan(body: Formula, var: str, values, env: Env, fuel: int, target: int):
+    """The first value whose instance of body has truth target (None if
+    none does), and whether an instance before it was unsettled."""
     unsettled = False
     for v in values:
         t = _truth(body, {**env, var: v}, fuel)
-        if t is None:
-            unsettled = True
-        elif t is not universal:
-            return not universal
-    return None if unsettled else universal
+        if t == target:
+            return v, unsettled
+        unsettled = unsettled or t == 0
+    return None, unsettled
 
 
 # --- the realizability checker ----------------------------------------------
@@ -336,18 +309,14 @@ def _canonical_realizer(f: Formula, env: Env, fuel: int) -> BaireElement:
                 _canonical_realizer(a, env, fuel), _canonical_realizer(b, env, fuel)
             )
         case Or(a, b):
-            if _truth(a, env, fuel) is True:
+            if _truth(a, env, fuel) == 1:
                 return _pack_head(0, _canonical_realizer(a, env, fuel))
             return _pack_head(1, _canonical_realizer(b, env, fuel))
         case ExistsN(var, body) | BExistsN(var, _, body):
-            values = _values(f, env, fuel)
-            candidates = values if values is not None else range(fuel + 1)
-            for w in candidates:
-                if _truth(body, {**env, var: w}, fuel) is True:
-                    return _pack_head(
-                        w, _canonical_realizer(body, {**env, var: w}, fuel)
-                    )
-            raise FragmentError("no witness found for a formula assumed true")
+            w, _ = _scan(body, var, _values(f, env, fuel)[0], env, fuel, 1)
+            if w is None:
+                raise FragmentError("no witness found for a formula assumed true")
+            return _pack_head(w, _canonical_realizer(body, {**env, var: w}, fuel))
         case ExistsF(_, _):
             raise FragmentError("cannot synthesise a function witness")
     raise TypeError(f"not a formula: {f!r}")
@@ -378,7 +347,7 @@ def _checked(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
 def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
     match f:
         case Eq(_, _):
-            ok = _truth(f, env, fuel)
+            ok = _truth(f, env, fuel) == 1
             return Verdict(Status.REALIZED if ok else Status.NOT_REALIZED)
         case And(a, b):
             va = _checked(_component(r, 0), a, env, fuel)
@@ -391,9 +360,9 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
             return Verdict(inner.status, inner.witness, f"tag {tag}; " + inner.note)
         case Imp(a, b):
             ta = _truth(a, env, fuel)
-            if ta is False:
+            if ta == -1:
                 return Verdict(Status.REALIZED, note="hypothesis refuted")
-            if ta is None:
+            if ta == 0:
                 return Verdict(
                     Status.FUEL_EXHAUSTED, note="hypothesis not settled within fuel"
                 )
@@ -401,11 +370,11 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
             return _check(apply_element(r, argument, fuel), b, env, fuel)
         case Not(a):
             ta = _truth(a, env, fuel)
-            if ta is None:
+            if ta == 0:
                 return Verdict(
                     Status.FUEL_EXHAUSTED, note="negated matrix not settled within fuel"
                 )
-            return Verdict(Status.REALIZED if ta is False else Status.NOT_REALIZED)
+            return Verdict(Status.REALIZED if ta == -1 else Status.NOT_REALIZED)
         case ExistsN(var, body) | BExistsN(var, _, body):
             w = r.at(0)
             if isinstance(f, BExistsN) and w >= eval_term(f.bound, env, fuel):
@@ -415,8 +384,8 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
                 return Verdict(Status.REALIZED, witness=w)
             return Verdict(inner.status, note=f"at witness {w}; " + inner.note)
         case ForallN(var, body) | BForallN(var, _, body) | ForallF(var, body):
-            values = _values(f, env, fuel)
-            if values is None:
+            values, complete = _values(f, env, fuel)
+            if not complete:
                 raise FragmentError(
                     f"universal number quantifier over {var} needs a range in env"
                 )
@@ -525,8 +494,7 @@ def _tr(e: Functor, f: Formula, avoid: frozenset[str]) -> Formula:
                 ),
             )
         case Not(a):
-            d = _fresh("@d", avoid | free_vars(f)[1])
-            return ForallF(d, Imp(_tr(FnVar(d), a, avoid | {d}), FALSUM))
+            return _tr(e, Imp(a, FALSUM), avoid)
         case ForallN(var, body):
             var, body = _rebind(var, body, e)
             return ForallN(var, _tr(_embed_num(e, var), body, avoid))

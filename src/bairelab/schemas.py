@@ -205,7 +205,7 @@ def instantiate(kind: SchemaKind, body: Formula | None = None, binding: Binding 
     b: Binding = dict(binding or {})
     match kind:
         case SchemaKind.AC00:
-            return _choice_numbers(kind, _need_body(kind, body), b)
+            return _choice_numbers(_need_body(kind, body), b)
         case SchemaKind.QF_AC00:
             a = _need_body(kind, body)
             if not is_qf_admissible(a):
@@ -213,9 +213,9 @@ def instantiate(kind: SchemaKind, body: Formula | None = None, binding: Binding 
                     "body has an unbounded or function quantifier; only bounded "
                     "numerical quantifiers are allowed here"
                 )
-            return _choice_numbers(kind, a, b)
+            return _choice_numbers(a, b)
         case SchemaKind.AC00_BANG:
-            return _choice_numbers(kind, _need_body(kind, body), b, unique=True)
+            return _choice_numbers(_need_body(kind, body), b, unique=True)
         case SchemaKind.AC01:
             return _choice_functions(_need_body(kind, body), b)
         case SchemaKind.INDUCTION:
@@ -236,7 +236,7 @@ def instantiate(kind: SchemaKind, body: Formula | None = None, binding: Binding 
             raise SchemaError(f"unknown schema kind {kind!r}")
 
 
-def _choice_numbers(kind: SchemaKind, a: Formula, b: Binding, unique: bool = False) -> Formula:
+def _choice_numbers(a: Formula, b: Binding, unique: bool = False) -> Formula:
     an, af = free_vars(a)
     x = _designated(b, "x", "x")
     y = _designated(b, "y", "y")
@@ -284,18 +284,14 @@ def _bar_induction(a: Formula, b: Binding, bar_given: str) -> Formula:
     an, af = free_vars(a)
     w = _designated(b, "w", "w")
 
-    if bar_given == "real":
+    given = None if bar_given == "real" else b.get("bar")
+    if given is None:
         rho = _designated(b, "rho", "@r")
         r = Eq(Apply(FnVar(rho), NumVar(w)), Zero())
+    elif isinstance(given, Formula):
+        r = given
     else:
-        given = b.get("bar")
-        if given is None:
-            rho = _designated(b, "rho", "@r")
-            r = Eq(Apply(FnVar(rho), NumVar(w)), Zero())
-        elif isinstance(given, Formula):
-            r = given
-        else:
-            raise SchemaError("binding for 'bar' must be a formula over the path variable")
+        raise SchemaError("binding for 'bar' must be a formula over the path variable")
 
     rn, rf = free_vars(r)
     alpha = _fresh_var(b, "alpha", "@a", rf)

@@ -332,6 +332,17 @@ QUANTIFIER_CASES = [
     (reader(1), "(exists x. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE}, (R, 2, "")),
     (reader(1), "(exists x. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE, "x": [3, 2]}, (R, 3, "")),
     (reader(1), "(exists x < 5. @a(x) = 0) -> exists y. @a(y) = 0", {"@a": LATE}, (R, 2, "")),
+    # --- appended rows, so that earlier case ids stay put ---
+    # a tuple is a range like a list
+    (ZERO, "forall x. @a(x) = 0", {"@a": ALPHA, "x": (0, 2)}, (R, None, "")),
+    (ZERO, "~ exists @b. @b(0) = 1", {"@b": (ZERO, ONE)}, (N, None, "")),
+    # a natural in env is no range: the search runs over 0..fuel
+    (ZERO, "~ exists x. x = 3", {"x": 7}, (N, None, "")),
+    (ZERO, "~ forall x. x = 0", {"x": 7}, (R, None, "")),
+    # a witness found after an unsettled instance
+    (reader(1), "(exists x < 3. x = 1 | forall y. y = y) -> exists z. z = 1", {}, (R, 1, "")),
+    (reader(1), "(exists x. x = 1 | forall y. y = y) -> exists z. z = 1", {}, (R, 1, "")),
+    (reader(1), "(exists x < 3. (forall y. y = y) -> x = 2) -> exists z. z = 2", {}, (R, 2, "")),
 ]
 
 
@@ -345,6 +356,35 @@ def test_check_quantifiers(realizer, src, env, expected):
         return
     verdict = check_realizes(realizer, f, env, fuel=20)
     assert (verdict.status, verdict.witness, verdict.note) == expected
+
+
+# Kleene's strong three-valued tables (Introduction to Metamathematics,
+# 1952, section 64), read through the hypothesis of an implication:
+# T is true, F false, and U has no range, so it is never settled.
+KLEENE_ATOMS = {"T": "0 = 0", "F": "0 = S(0)", "U": "forall x. x = x"}
+KLEENE_TABLES = {
+    "{a} & {b}": {"T": "TFU", "F": "FFF", "U": "UFU"},
+    "{a} | {b}": {"T": "TTT", "F": "TFU", "U": "TUU"},
+    "{a} -> {b}": {"T": "TFU", "F": "TTT", "U": "TUU"},
+}
+KLEENE_CASES = [
+    (template.format(a=f"({KLEENE_ATOMS[a]})", b=f"({KLEENE_ATOMS[b]})"), value)
+    for template, rows in KLEENE_TABLES.items()
+    for a, values in rows.items()
+    for b, value in zip("TFU", values)
+] + [(f"~({KLEENE_ATOMS[a]})", value) for a, value in zip("TFU", "FTU")]
+KLEENE_VERDICTS = {
+    "T": (N, None, ""),
+    "F": (R, None, "hypothesis refuted"),
+    "U": (F, None, "hypothesis not settled within fuel"),
+}
+
+
+@pytest.mark.parametrize("hypothesis, value", KLEENE_CASES)
+def test_kleene_tables(hypothesis, value):
+    f = parse_formula(f"({hypothesis}) -> 0 = S(0)")
+    verdict = check_realizes(ZERO, f, {}, fuel=5)
+    assert (verdict.status, verdict.witness, verdict.note) == KLEENE_VERDICTS[value]
 
 
 def test_check_negation_unsettled_within_fuel():

@@ -192,6 +192,25 @@ def test_bi_bang_instance():
             pytest.fail("unexpected hypothesis chain shape")
 
 
+@pytest.mark.parametrize("kind", [SchemaKind.BI_A, SchemaKind.BI_BANG])
+def test_bar_binding_gives_the_hit_clause(kind):
+    got = format_formula(instantiate(kind, body=Eq(W, W), binding={"bar": parse_formula("w = 3")}))
+    assert "barof(@a, x) = 3" in got
+    assert "@r" not in got
+
+
+def test_bi1_ignores_a_bar_binding():
+    body = Eq(W, W)
+    bound = instantiate(SchemaKind.BI1, body=body, binding={"bar": parse_formula("w = 3")})
+    assert bound == instantiate(SchemaKind.BI1, body=body)
+
+
+def test_bar_binding_must_be_a_formula():
+    with pytest.raises(SchemaError) as exc:
+        instantiate(SchemaKind.BI_A, body=Eq(W, W), binding={"bar": "@q"})
+    assert str(exc.value) == "binding for 'bar' must be a formula over the path variable"
+
+
 def test_freshness_choice_variable():
     body = Eq(Apply(FnVar("@b"), X), Y)
     # default choice name steps aside
