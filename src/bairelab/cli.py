@@ -7,8 +7,10 @@ exploration.  dispatch() returns a process exit code: 0 on success, 1
 for domain errors (reported as "error: ..." on stderr), 2 for usage
 errors (argparse's convention).
 
-Output is plain text by default; the top-level --machine flag switches
-every command to line-oriented key=value records.
+Every result line goes through _out, the one place that reads the
+top-level --machine flag: plain text by default, a key=value record per
+fact under --machine, where the text form may fold several facts into
+one line.
 """
 
 from __future__ import annotations
@@ -153,10 +155,26 @@ def _rho_from_spec(args: argparse.Namespace) -> Callable[[int], int]:
     raise ValueError(f"unknown rho spec {spec!r}; use builtin:NAME or oracle")
 
 
-def _out(args: argparse.Namespace, key: str, value: object) -> None:
-    """One result line: bare value normally, key=value under --machine."""
-    text = _decimal(value)
-    print(f"{key}={text}" if args.machine else text)
+def _out(args: argparse.Namespace, key: str, value: object, text: object = ...) -> None:
+    """One result line: key=value under --machine, else text, which defaults
+    to the bare value; a line whose text is None exists only under --machine."""
+    shown = str(value).lower() if isinstance(value, bool) else value
+    if args.machine:
+        print(f"{key}={_decimal(shown)}")
+    elif text is not None:
+        print(_decimal(shown) if text is ... else text)
+
+
+def _counted(minimum: int) -> Callable[[str], int]:
+    """An argparse type for an int of at least minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+
+    return count
 
 
 _TOO_LONG = "result too large to print: about {:,} decimal digits, over the limit of {:,}"
@@ -196,11 +214,6 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_print(args: argparse.Namespace) -> int:
-    _out(args, "formula", format_formula(parse_formula(args.formula)))
-    return 0
-
-
 def _cmd_seq_encode(args: argparse.Namespace) -> int:
     _out(args, "code", _seq_code(args.entries))
     return 0
@@ -208,16 +221,11 @@ def _cmd_seq_encode(args: argparse.Namespace) -> int:
 
 def _cmd_seq_decode(args: argparse.Namespace) -> int:
     entries = seqcode.decode(args.code)
-    if args.machine:
-        print(f"ok={'true' if entries is not None else 'false'}")
-        if entries is not None:
-            print("entries=" + ",".join(str(v) for v in entries))
-    elif entries is None:
-        print("none")
-    elif not entries:
-        print("(empty)")
+    if entries is None:
+        _out(args, "ok", False, "none")
     else:
-        print(" ".join(str(v) for v in entries))
+        _out(args, "ok", True, " ".join(map(str, entries)) or "(empty)")
+        _out(args, "entries", ",".join(map(str, entries)), None)
     return 0
 
 
@@ -247,14 +255,9 @@ def _cmd_schema(args: argparse.Namespace) -> int:
     if args.theory:
         info = theory_schemas(args.theory)
         kinds = sorted(k.value for k in info.schemas)
-        if args.machine:
-            print("schemas=" + ",".join(kinds))
-            for i, note in enumerate(info.notes):
-                print(f"note.{i}={note}")
-        else:
-            print(" ".join(kinds))
-            for note in info.notes:
-                print(f"note: {note}")
+        _out(args, "schemas", ",".join(kinds), " ".join(kinds))
+        for i, note in enumerate(info.notes):
+            _out(args, f"note.{i}", note, f"note: {note}")
         return 0
     if args.kind is None:
         raise ValueError("give a schema kind or --theory NAME")
@@ -286,33 +289,21 @@ def _cmd_translate_neg(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_classical(args: argparse.Namespace) -> int:
     valid = classical_valid(parse_prop(args.prop))
-    if args.machine:
-        print(f"valid={'true' if valid else 'false'}")
-    else:
-        print("valid" if valid else "not valid")
+    _out(args, "valid", valid, "valid" if valid else "not valid")
     return 0
 
 
 def _cmd_oracle_ipc(args: argparse.Namespace) -> int:
     f = parse_prop(args.prop)
     provable = ipc_provable(f)
-    if args.machine:
-        print(f"provable={'true' if provable else 'false'}")
-    else:
-        print("provable" if provable else "not provable")
-    if not provable:
-        model = kripke_countermodel(f)
-        if model is not None:
-            if args.machine:
-                print(f"countermodel.worlds={model.size}")
-                for atom in sorted(model.valuation):
-                    worlds = ",".join(str(w) for w in sorted(model.valuation[atom]))
-                    print(f"countermodel.{atom}={worlds}")
-            else:
-                print(f"countermodel on {model.size} worlds")
-                for atom in sorted(model.valuation):
-                    worlds = " ".join(str(w) for w in sorted(model.valuation[atom]))
-                    print(f"  {atom} holds at: {worlds or '(nowhere)'}")
+    _out(args, "provable", provable, "provable" if provable else "not provable")
+    model = None if provable else kripke_countermodel(f)
+    if model is not None:
+        _out(args, "countermodel.worlds", model.size, f"countermodel on {model.size} worlds")
+        for atom in sorted(model.valuation):
+            worlds = [str(w) for w in sorted(model.valuation[atom])]
+            text = f"  {atom} holds at: {' '.join(worlds) or '(nowhere)'}"
+            _out(args, f"countermodel.{atom}", ",".join(worlds), text)
     return 0
 
 
@@ -320,19 +311,13 @@ def _cmd_realize_check(args: argparse.Namespace) -> int:
     realizer = parse_element(args.realizer)
     env = parse_env(args.env)
     verdict = check_realizes(realizer, parse_formula(args.formula), env, args.fuel)
-    if args.machine:
-        print(f"status={verdict.status.value}")
-        if verdict.witness is not None:
-            print(f"witness={verdict.witness}")
-        if verdict.note:
-            print(f"note={verdict.note}")
-    else:
-        pieces = [verdict.status.value]
-        if verdict.witness is not None:
-            pieces.append(f"witness {verdict.witness}")
-        if verdict.note:
-            pieces.append(f"({verdict.note})")
-        print(" ".join(pieces))
+    status, witness, note = verdict.status.value, verdict.witness, verdict.note
+    text = status + ("" if witness is None else f" witness {witness}") + (note and f" ({note})")
+    _out(args, "status", status, text)
+    if witness is not None:
+        _out(args, "witness", witness, None)
+    if note:
+        _out(args, "note", note, None)
     return 0
 
 
@@ -357,51 +342,33 @@ def _cmd_jump_demo(args: argparse.Namespace) -> int:
     for (e, _x), claim in sorted(h.items()):
         match claim:
             case Halts(trace, output):
-                if args.machine:
-                    print(f"program.{e}=halts trace={trace} output={output}")
-                else:
-                    print(f"program {e}: halts, trace {trace}, output {output}")
+                value = f"halts trace={trace} output={output}"
+                text = f"program {e}: halts, trace {trace}, output {output}"
             case Diverges():
-                if args.machine:
-                    print(f"program.{e}=diverges")
-                else:
-                    print(f"program {e}: diverges")
+                value, text = "diverges", f"program {e}: diverges"
+        _out(args, f"program.{e}", value, text)
     beta = build_beta(alpha, h, args.upto)
-    prefix = beta.prefix
-    if args.machine:
-        print("beta=" + ",".join(str(v) for v in prefix))
-    else:
-        print("beta prefix:", " ".join(str(v) for v in prefix))
+    prefix = [str(v) for v in beta.prefix]
+    _out(args, "beta", ",".join(prefix), "beta prefix: " + " ".join(prefix))
     survived = all(
         rho(seqcode.bar(beta.at, j, max_bits=None), alpha, programs) == 1
         for j in range(len(prefix) + 1)
     )
-    if args.machine:
-        print(f"survives={'true' if survived else 'false'}")
-    else:
-        yn = "yes" if survived else "NO"
-        print(f"rho keeps every beta prefix up to length {len(prefix)}: {yn}")
+    yn = "yes" if survived else "NO"
+    text = f"rho keeps every beta prefix up to length {len(prefix)}: {yn}"
+    _out(args, "survives", survived, text)
     return 0 if survived else 1
 
 
 def _cmd_bar_verify(args: argparse.Namespace) -> int:
-    verdict = bar_verify(_rho_from_spec(args), args.branching, args.depth)
-    match verdict:
+    match bar_verify(_rho_from_spec(args), args.branching, args.depth):
         case Barred(max_depth):
-            if args.machine:
-                print("barred=true")
-                print(f"depth={max_depth}")
-            else:
-                print(f"barred at depth {max_depth}")
-            return 0
+            _out(args, "barred", True, f"barred at depth {max_depth}")
+            _out(args, "depth", max_depth, None)
         case DepthExhausted(path):
-            if args.machine:
-                print("barred=false")
-                print("path=" + ",".join(str(n) for n in path))
-            else:
-                print("depth exhausted along", " ".join(str(n) for n in path))
-            return 0
-    raise RuntimeError(f"unexpected verdict {verdict!r}")
+            _out(args, "barred", False, "depth exhausted along " + " ".join(map(str, path)))
+            _out(args, "path", ",".join(map(str, path)), None)
+    return 0
 
 
 def _cmd_bar_recurse(args: argparse.Namespace) -> int:
@@ -421,10 +388,7 @@ def _cmd_acceptance_run(args: argparse.Namespace) -> int:
 
     results = acceptance.run_all(only=args.only)
     for r in results:
-        if args.machine:
-            print(f"criterion.{r.number}={'pass' if r.passed else 'fail'}")
-        else:
-            print(r.line())
+        _out(args, f"criterion.{r.number}", "pass" if r.passed else "fail", r.line())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -434,15 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine", action="store_true", help="emit line-oriented key=value output"
     )
     sub = top.add_subparsers(dest="command", required=True)
+    alpha_opts = argparse.ArgumentParser(add_help=False)
+    alpha_opts.add_argument("--alpha", default="zero")
+    oracle_opts = argparse.ArgumentParser(add_help=False, parents=[alpha_opts])
+    oracle_opts.add_argument("--registry")
+    tree_opts = argparse.ArgumentParser(add_help=False)
+    tree_opts.add_argument("--rho", required=True)
+    tree_opts.add_argument("-b", "--branching", type=int, required=True)
+    tree_opts.add_argument("-d", "--depth", type=int, required=True)
 
-    p = sub.add_parser("parse", help="parse a formula and print it back")
+    p = sub.add_parser("parse", aliases=["print"], help="parse a formula and print it back")
     p.add_argument("formula")
     p.add_argument("--ast", action="store_true", help="print the s-expression")
     p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser("print", help="parse a formula and pretty-print it")
-    p.add_argument("formula")
-    p.set_defaults(handler=_cmd_print)
 
     seq = sub.add_parser("seq", help="prime power sequence codes")
     seqsub = seq.add_subparsers(dest="seq_command", required=True)
@@ -456,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", type=int)
     p.add_argument("right", type=int)
     p.set_defaults(handler=_cmd_seq_concat)
-    p = seqsub.add_parser("bar")
-    p.add_argument("length", type=int)
-    p.add_argument("--alpha", default="zero")
+    p = seqsub.add_parser("bar", parents=[alpha_opts])
+    p.add_argument("length", type=_counted(0))
     p.set_defaults(handler=_cmd_seq_bar)
 
     p = sub.add_parser("schema", help="instantiate an axiom schema")
@@ -490,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--realizer", default="zero")
     p.add_argument("--env")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_counted(1), default=1000)
     p.set_defaults(handler=_cmd_realize_check)
     p = rsub.add_parser("transform")
     p.add_argument("formula")
@@ -499,35 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     jump = sub.add_parser("jump", help="the pruning function and the jump sequence")
     jsub = jump.add_subparsers(dest="jump_command", required=True)
-    p = jsub.add_parser("run")
+    p = jsub.add_parser("run", parents=[oracle_opts])
     p.add_argument("code", type=int)
-    p.add_argument("--alpha", default="zero")
-    p.add_argument("--registry")
     p.set_defaults(handler=_cmd_jump_run)
-    p = jsub.add_parser("demo")
-    p.add_argument("--alpha", default="zero")
-    p.add_argument("--upto", type=int, default=8)
-    p.add_argument("--registry")
-    p.add_argument("--fuel", type=int, default=100_000)
+    p = jsub.add_parser("demo", parents=[oracle_opts])
+    p.add_argument("--upto", type=_counted(0), default=8)
+    p.add_argument("--fuel", type=_counted(1), default=100_000)
     p.set_defaults(handler=_cmd_jump_demo)
 
     bar = sub.add_parser("bar", help="bar verification and bar recursion")
     bsub = bar.add_subparsers(dest="bar_command", required=True)
-    p = bsub.add_parser("verify")
-    p.add_argument("--rho", required=True)
-    p.add_argument("-b", "--branching", type=int, required=True)
-    p.add_argument("-d", "--depth", type=int, required=True)
-    p.add_argument("--alpha", default="zero")
-    p.add_argument("--registry")
+    p = bsub.add_parser("verify", parents=[tree_opts, oracle_opts])
     p.set_defaults(handler=_cmd_bar_verify)
-    p = bsub.add_parser("recurse")
-    p.add_argument("--rho", required=True)
-    p.add_argument("-b", "--branching", type=int, required=True)
-    p.add_argument("-d", "--depth", type=int, required=True)
+    p = bsub.add_parser("recurse", parents=[tree_opts, oracle_opts])
     p.add_argument("--base", default="one", choices=sorted(BUILTIN_BASES))
     p.add_argument("--step", default="sum", choices=sorted(BUILTIN_STEPS))
-    p.add_argument("--alpha", default="zero")
-    p.add_argument("--registry")
     p.set_defaults(handler=_cmd_bar_recurse)
 
     acc = sub.add_parser("acceptance", help="the acceptance gate")

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -36,7 +37,8 @@ def _leaf_handlers(parser: argparse.ArgumentParser) -> list:
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
         return [parser._defaults["handler"]]
-    return [h for child in subs[0].choices.values() for h in _leaf_handlers(child)]
+    children = dict.fromkeys(subs[0].choices.values())  # an alias maps to the same parser
+    return [h for child in children for h in _leaf_handlers(child)]
 
 
 def test_every_subcommand_has_a_handler_and_vice_versa():
@@ -45,10 +47,32 @@ def test_every_subcommand_has_a_handler_and_vice_versa():
     assert set(handlers) == {f for name, f in vars(cli).items() if name.startswith("_cmd_")}
 
 
+def test_handlers_print_only_through_out():
+    for name, handler in vars(cli).items():
+        if name.startswith("_cmd_"):
+            source = inspect.getsource(handler)
+            assert "print(" not in source and "args.machine" not in source, name
+
+
 def test_usage_errors_exit_2():
     assert run("bogus")[0] == 2
     assert run("seq", "decode", "notanumber")[0] == 2
     assert run()[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("seq", "bar", "-1"), "length"),
+        (("jump", "demo", "--upto", "-1"), "--upto"),
+        (("realize", "check", "--formula", "0=0", "--fuel", "-3"), "--fuel"),
+    ],
+    ids=["seq-bar-length", "jump-demo-upto", "realize-check-fuel"],
+)
+def test_negative_counts_are_usage_errors(argv, option):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and f"argument {option}: must be at least " in err
 
 
 def test_domain_errors_exit_1_with_message():
@@ -443,6 +467,91 @@ def test_bar_rejects_unknown_rho():
 
 def test_registry_path_errors_exit_1():
     assert run("jump", "run", "5", "--registry", "/no/such/file")[0] == 1
+
+
+# --- both output forms, pinned ----------------------------------------------
+
+_BSK_NOTE = (
+    "Peano axioms, lambda reduction and the defining axioms for primitive recursive"
+    " function constants form the unlisted background; only proper schemas appear in the set."
+)
+_DIVERGES_0_TO_3 = "".join(f"program {e}: diverges\n" for e in range(4))
+_DIVERGES_0_TO_3_MACHINE = "".join(f"program.{e}=diverges\n" for e in range(4))
+
+
+@pytest.mark.parametrize(
+    "argv, code, plain, machine",
+    [
+        (
+            ("jump", "demo", "--upto", "4"),
+            0,
+            _DIVERGES_0_TO_3 + "beta prefix: 0 0 0 0 0 0 0 0\n"
+            "rho keeps every beta prefix up to length 8: yes\n",
+            _DIVERGES_0_TO_3_MACHINE + "beta=0,0,0,0,0,0,0,0\nsurvives=true\n",
+        ),
+        (
+            ("bar", "verify", "--rho", "builtin:uniform2", "-b", "3", "-d", "4"),
+            0,
+            "barred at depth 2\n",
+            "barred=true\ndepth=2\n",
+        ),
+        (
+            ("bar", "verify", "--rho", "builtin:never", "-b", "2", "-d", "3"),
+            0,
+            "depth exhausted along 0 0 0\n",
+            "barred=false\npath=0,0,0\n",
+        ),
+        (
+            ("schema", "--theory", "BSK"),
+            0,
+            f"ac01 bi! induction open-eq\nnote: {_BSK_NOTE}\n",
+            f"schemas=ac01,bi!,induction,open-eq\nnote.0={_BSK_NOTE}\n",
+        ),
+        (("oracle", "classical", "p | ~p"), 0, "valid\n", "valid=true\n"),
+        (("oracle", "classical", "p -> q"), 0, "not valid\n", "valid=false\n"),
+        (("seq", "decode", "1"), 0, "(empty)\n", "ok=true\nentries=\n"),
+        (("seq", "decode", "5"), 0, "none\n", "ok=false\n"),
+        (
+            ("realize", "check", "--formula", "exists x. x = 2", "--realizer", "const:2"),
+            0,
+            "realized witness 2\n",
+            "status=realized\nwitness=2\n",
+        ),
+        (
+            ("realize", "check", "--formula", "(0 = 1) -> 0 = 0"),
+            0,
+            "realized (hypothesis refuted)\n",
+            "status=realized\nnote=hypothesis refuted\n",
+        ),
+        (
+            ("translate-neg", "exists x. x = 0"),
+            0,
+            "~forall x. ~~~(x = 0)\n",
+            "formula=~forall x. ~~~(x = 0)\n",
+        ),
+        (
+            ("realize", "transform", "exists x. x = 0"),
+            0,
+            "@e(0) = 0\n",
+            "formula=@e(0) = 0\n",
+        ),
+        (
+            ("acceptance", "run", "--only", "4"),
+            0,
+            "criterion  4 sequence-codec: PASS"
+            " [1555 encodings, 148 small codes, 21904 concat pairs, 0 bad]\n",
+            "criterion.4=pass\n",
+        ),
+    ],
+    ids=[
+        "jump-demo", "bar-barred", "bar-exhausted", "theory-bsk", "classical-valid",
+        "classical-not-valid", "decode-empty", "decode-none", "realize-witness",
+        "realize-note", "translate-neg", "realize-transform", "acceptance-4",
+    ],
+)
+def test_output_is_pinned_in_both_forms(argv, code, plain, machine):
+    assert run(*argv) == (code, plain, "")
+    assert run("--machine", *argv) == (code, machine, "")
 
 
 # --- spec decoding -----------------------------------------------------------
