@@ -29,7 +29,9 @@ from .jump import (
     BUILTIN_BASES,
     BUILTIN_RHOS,
     BUILTIN_STEPS,
+    Barred,
     DepthExhausted,
+    NotBarredError,
     bar_recurse,
     bar_verify,
     build_beta,
@@ -271,6 +273,24 @@ def run_criterion_6() -> CriterionResult:
     )
 
 
+def _brute_bar(cuts: set, b: int, d: int, base: Callable, step: Callable) -> tuple:
+    """A bar given as a set of cut tuples, walked level by level over
+    tuples, with no sequence codes.  Returns (survivor, deepest, value):
+    the least path uncut at depth d, else None, the depth of the deepest
+    cut and the fold's value at the root, base at cut paths, step inside."""
+    levels = [[()]]
+    for _ in range(d):
+        levels.append([p + (n,) for p in levels[-1] if p not in cuts for n in range(b)])
+    survivors = [p for p in levels[d] if p not in cuts]
+    if survivors:
+        return min(survivors), None, None
+    value: dict = {}
+    for level in reversed(levels):
+        for p in level:
+            value[p] = base(p) if p in cuts else step(p, [value[p + (n,)] for n in range(b)])
+    return None, max(len(p) for p in value if p in cuts), value[()]
+
+
 def run_criterion_7() -> CriterionResult:
     wrong = 0
     for b in range(1, 6):
@@ -283,11 +303,42 @@ def run_criterion_7() -> CriterionResult:
                 wrong += 1
     verdict = bar_verify(BUILTIN_RHOS["never"], 3, 6)
     flagged = verdict == DepthExhausted((0,) * 6)
+
+    # seeded irregular bars, each cutting a random subset of the paths up
+    # to depth d, under a fold that weighs children by index and leaves
+    # by their path, so that a walk in another order gives another value
+    rng = random.Random(20261020)
+    base = lambda path: 1 + sum((i + 2) * v for i, v in enumerate(path))
+    step = lambda path, kids: (len(path) + sum((i + 1) * k for i, k in enumerate(kids))) % 1009
+    path_of = lambda code: tuple(seqcode.decode(code))
+    barred = disagree = 0
+    for _ in range(3000):
+        b, d, p = rng.randint(1, 3), rng.randint(1, 5), rng.random()
+        cuts = {q for k in range(d + 1) for q in product(range(b), repeat=k) if rng.random() < p}
+        survivor, deepest, value = _brute_bar(cuts, b, d, base, step)
+        rho_fn = lambda s, cuts=cuts: 0 if path_of(s) in cuts else 1
+        try:
+            got = bar_recurse(
+                rho_fn,
+                lambda code: base(path_of(code)),
+                lambda code, kids: step(path_of(code), kids),
+                b,
+                d,
+            )
+        except NotBarredError as exc:
+            got = exc.path
+        if survivor is None:
+            barred += 1
+            ok = bar_verify(rho_fn, b, d) == Barred(deepest) and got == value
+        else:
+            ok = bar_verify(rho_fn, b, d) == DepthExhausted(survivor) and got == survivor
+        disagree += not ok
     return CriterionResult(
         7,
         "bar-recursion-closed-form",
-        wrong == 0 and flagged,
-        f"25 closed forms, {wrong} wrong; unbarred tree flagged: {flagged}",
+        wrong == 0 and flagged and disagree == 0,
+        f"25 closed forms, {wrong} wrong; unbarred tree flagged: {flagged}; "
+        f"3000 irregular bars ({barred} barred) against a brute force, {disagree} disagreements",
     )
 
 

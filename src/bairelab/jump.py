@@ -7,15 +7,16 @@ rho cuts a finite sequence once it visibly deviates from beta.  Every
 prefix of beta survives, and in the limit beta is the only surviving
 path; at a finite depth, a 0 claimed for a halting machine survives
 until the sequence is as long as that machine's trace code.
-bar_verify and bar_recurse then operate on any pruned tree: the first
-checks that all paths are cut within a depth budget, the second folds a
-value bottom-up from the cut nodes to the root.
+bar_recurse then walks any pruned tree depth-first, in index order,
+folding a value bottom-up from the cut nodes to the root; it stops at
+the least path still uncut at the depth budget.  bar_verify is one such
+fold, the height of the tree, and reports that path if there is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Union
 
 from . import seqcode
 from .baire import Tabled
@@ -38,6 +39,10 @@ class MissingCertificateError(BairelabError):
 
 class NotBarredError(BairelabError):
     """bar_recurse reached the depth budget on an uncut path."""
+
+    def __init__(self, message: str, path: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.path = path
 
 
 def rho(s: int, alpha: object, programs: Mapping[int, OracleProgram]) -> int:
@@ -131,30 +136,14 @@ RhoFn = Callable[[int], int]
 def bar_verify(rho_fn: RhoFn, b: int, d: int) -> BarVerdict:
     """Check that every path with entries < b is cut within depth d.
 
-    Children are explored in index order, so the reported path of a
-    DepthExhausted verdict is the lexicographically least survivor.
+    One fold of bar_recurse: 0 at a cut node and 1 + max(kids) inside,
+    so Barred carries the depth of the deepest cut.  A DepthExhausted
+    path is bar_recurse's first survivor, the lexicographically least.
     """
-    if b < 1 or d < 1:
-        raise ValueError("branching and depth must be at least 1")
-    deepest = 0
-
-    def explore(code: int, path: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        nonlocal deepest
-        if rho_fn(code) == 0:
-            deepest = max(deepest, len(path))
-            return None
-        if len(path) == d:
-            return path
-        for n in range(b):
-            survivor = explore(seqcode.extend(code, n), path + (n,))
-            if survivor is not None:
-                return survivor
-        return None
-
-    survivor = explore(1, ())
-    if survivor is not None:
-        return DepthExhausted(survivor)
-    return Barred(deepest)
+    try:
+        return Barred(bar_recurse(rho_fn, lambda code: 0, lambda code, kids: 1 + max(kids), b, d))
+    except NotBarredError as exc:
+        return DepthExhausted(exc.path)
 
 
 def bar_recurse(
@@ -166,20 +155,20 @@ def bar_recurse(
 ) -> object:
     """Fold a value up the pruned tree: base at cut nodes, step inside.
 
-    Requires the tree to be barred within depth d (NotBarredError
-    otherwise); the result is the value assigned to the root code 1.
+    Children go in index order; the result is the value at the root code
+    1.  An uncut node at depth d raises NotBarredError with its path.
     """
     if b < 1 or d < 1:
         raise ValueError("branching and depth must be at least 1")
 
-    def fold(code: int, depth: int) -> object:
+    def fold(code: int, path: tuple[int, ...]) -> object:
         if rho_fn(code) == 0:
             return base(code)
-        if depth == d:
-            raise NotBarredError(f"uncut node at depth {d}: code {code}")
-        return step(code, [fold(seqcode.extend(code, n), depth + 1) for n in range(b)])
+        if len(path) == d:
+            raise NotBarredError(f"uncut node at depth {d}: code {code}", path)
+        return step(code, [fold(seqcode.extend(code, n), path + (n,)) for n in range(b)])
 
-    return fold(1, 0)
+    return fold(1, ())
 
 
 def oracle_rho(alpha: object, programs: Mapping[int, OracleProgram]) -> RhoFn:

@@ -329,8 +329,16 @@ def check_realizes(
 
     env maps free number variables to naturals, free function variables
     to elements, and quantified variables to finite ranges (a list, or a
-    single element standing for a one-point range).  REALIZED and
-    NOT_REALIZED are definitive; FUEL_EXHAUSTED is not.
+    single element standing for a one-point range).  FUEL_EXHAUSTED
+    settles nothing.  REALIZED and NOT_REALIZED follow a reading more
+    lenient than Kleene's clauses:
+      - for A -> B, r is applied only to _canonical_realizer(A), not to
+        every realizer of A;
+      - an application, under -> or forall, counts as defined wherever
+        the rest of the check never probes it.
+    So the zero element, whose applications are defined nowhere, is
+    REALIZED for 0 = 0 -> 0 = 0.  The check against Kleene's definition
+    is ROADMAP.md's item 3.
     """
     return _checked(r, f, dict(env or {}), fuel)
 
@@ -357,7 +365,7 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
             tag = r.at(0)
             side = a if tag == 0 else b
             inner = _check(_tail_of(r), side, env, fuel)
-            return Verdict(inner.status, inner.witness, f"tag {tag}; " + inner.note)
+            return Verdict(inner.status, inner.witness, _noted(f"tag {tag}", inner))
         case Imp(a, b):
             ta = _truth(a, env, fuel)
             if ta == -1:
@@ -382,7 +390,7 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
             inner = _check(_tail_of(r), body, {**env, var: w}, fuel)
             if inner.status is Status.REALIZED:
                 return Verdict(Status.REALIZED, witness=w)
-            return Verdict(inner.status, note=f"at witness {w}; " + inner.note)
+            return Verdict(inner.status, note=_noted(f"at witness {w}", inner))
         case ForallN(var, body) | BForallN(var, _, body) | ForallF(var, body):
             values, complete = _values(f, env, fuel)
             if not complete:
@@ -404,8 +412,13 @@ def _check(r: BaireElement, f: Formula, env: Env, fuel: int) -> Verdict:
         case ExistsF(var, body):
             witness = _component(r, 0)
             inner = _check(_component(r, 1), body, {**env, var: witness}, fuel)
-            return Verdict(inner.status, note="function witness; " + inner.note)
+            return Verdict(inner.status, note=_noted("function witness", inner))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _noted(where: str, inner: Verdict) -> str:
+    """Prefix inner's note with where, joining only the parts that are not empty."""
+    return "; ".join(part for part in (where, inner.note) if part)
 
 
 def _merge(verdicts: list[Verdict]) -> Verdict:
@@ -554,6 +567,9 @@ def mp_realizer() -> Program:
 
 
 def dns1_realizer() -> FiniteSupport:
-    """Realizer for the double-negation shift: negative conclusions carry
-    no information, so the zero element suffices."""
+    """Realizer for the double-negation shift: the zero element.  The
+    shift's conclusion is a negation, which check_realizes decides by
+    truth without probing r applied to the hypothesis's realizer, so it
+    accepts the zero element.  Under Kleene's clauses the zero element
+    realizes no implication, since its applications are defined nowhere."""
     return _ZERO_ELEMENT

@@ -465,6 +465,19 @@ def test_bar_rejects_unknown_rho():
     assert run("bar", "verify", "--rho", "mystery", "-b", "2", "-d", "2")[0] == 1
 
 
+def test_bar_walks_up_to_the_code_size_guard():
+    # seqcode.extend refuses a code of length 419, so 418 is the deepest
+    # level either walk reaches; neither may run out of stack first
+    never = ("--rho", "builtin:never", "-b", "1")
+    code, out, err = run("bar", "verify", *never, "-d", "418")
+    assert (code, out, err) == (0, "depth exhausted along" + " 0" * 418 + "\n", "")
+    code, out, err = run("bar", "recurse", *never, "-d", "418")
+    assert (code, out) == (1, "") and err.startswith("error: uncut node at depth 418: code ")
+    for command in ("verify", "recurse"):
+        code, out, err = run("bar", command, *never, "-d", "419")
+        assert (code, out, err) == (1, "", "error: sequence code exceeds 4096 bits\n")
+
+
 def test_registry_path_errors_exit_1():
     assert run("jump", "run", "5", "--registry", "/no/such/file")[0] == 1
 
@@ -518,6 +531,12 @@ _DIVERGES_0_TO_3_MACHINE = "".join(f"program.{e}=diverges\n" for e in range(4))
             "status=realized\nwitness=2\n",
         ),
         (
+            ("realize", "check", "--formula", "exists x. x = 2", "--realizer", "const:3"),
+            0,
+            "not-realized (at witness 3)\n",
+            "status=not-realized\nnote=at witness 3\n",
+        ),
+        (
             ("realize", "check", "--formula", "(0 = 1) -> 0 = 0"),
             0,
             "realized (hypothesis refuted)\n",
@@ -546,7 +565,8 @@ _DIVERGES_0_TO_3_MACHINE = "".join(f"program.{e}=diverges\n" for e in range(4))
     ids=[
         "jump-demo", "bar-barred", "bar-exhausted", "theory-bsk", "classical-valid",
         "classical-not-valid", "decode-empty", "decode-none", "realize-witness",
-        "realize-note", "translate-neg", "realize-transform", "acceptance-4",
+        "realize-wrong-witness", "realize-note", "translate-neg", "realize-transform",
+        "acceptance-4",
     ],
 )
 def test_output_is_pinned_in_both_forms(argv, code, plain, machine):

@@ -240,6 +240,39 @@ def test_bar_verify_oracle_rho_survivor_is_beta():
     assert verdict == DepthExhausted(tuple(beta.at(j) for j in range(8)))
 
 
+def _counting(rho_fn):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return rho_fn(s)
+
+    return counted, calls
+
+
+def test_bar_verify_stops_at_the_first_survivor_in_index_order():
+    counted, calls = _counting(BUILTIN_RHOS["never"])
+    assert bar_verify(counted, 3, 6) == DepthExhausted((0,) * 6)
+    assert calls == [seqcode.encode([0] * k) for k in range(7)]
+    counted, calls = _counting(BUILTIN_RHOS["uniform2"])
+    assert bar_verify(counted, 3, 5) == Barred(2)
+    assert len(calls) == 13
+    assert [seqcode.decode(s) for s in calls[:3]] == [[], [0], [0, 0]]
+
+
+def test_not_barred_error_path_is_bar_verify_survivor():
+    # cut (0), (1, 0) and (1, 1, 1); the least survivor at depth 3 is (1, 1, 0)
+    cuts = {(0,), (1, 0), (1, 1, 1)}
+    rho_fn = lambda s: 0 if tuple(seqcode.decode(s)) in cuts else 1
+    assert bar_verify(rho_fn, 2, 3) == DepthExhausted((1, 1, 0))
+    with pytest.raises(NotBarredError) as info:
+        bar_recurse(rho_fn, lambda w: 1, lambda w, ks: sum(ks), 2, 3)
+    assert info.value.path == (1, 1, 0)
+    assert str(info.value) == f"uncut node at depth 3: code {seqcode.encode([1, 1, 0])}"
+    cuts.add((1, 1, 0))
+    assert bar_verify(rho_fn, 2, 3) == Barred(3)
+
+
 def test_bar_recurse_counts_leaves():
     assert bar_recurse(BUILTIN_RHOS["uniform2"], lambda w: 1, lambda w, ks: sum(ks), 3, 5) == 9
     assert bar_recurse(BUILTIN_RHOS["uniform1"], lambda w: 1, lambda w, ks: sum(ks), 5, 5) == 5

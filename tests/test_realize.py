@@ -263,7 +263,7 @@ QUANTIFIER_CASES = [
     (ZERO, "forall x. x = x", {}, NO_NUM_RANGE),
     (ZERO, "forall x. x = x", {"x": ONE}, NO_NUM_RANGE),
     (ONE, "forall x. exists y. y = x", {"x": [0]}, (R, 0, "")),
-    (ONE, "forall x. exists y. y = x", {"x": [0, 1]}, (N, None, "at witness 0; ")),
+    (ONE, "forall x. exists y. y = x", {"x": [0, 1]}, (N, None, "at witness 0")),
     (ZERO, "forall x. exists y. y = x", {"x": [0]}, (F, None, "application undefined at 0 within fuel 20")),
     # forall x < t: the bound, never a range in env
     (ZERO, "forall x < 1. @a(x) = 0", {"@a": ALPHA}, (R, None, "")),
@@ -272,7 +272,7 @@ QUANTIFIER_CASES = [
     (ZERO, "forall x < 0. 0 = S(0)", {}, (R, None, "")),
     (ZERO, "forall x < n. exists y. y = x", {}, NO_BOUND),
     (ONE, "forall x < 1. exists y. y = x", {}, (R, 0, "")),
-    (ONE, "forall x < 2. exists y. y = x", {}, (N, None, "at witness 0; ")),
+    (ONE, "forall x < 2. exists y. y = x", {}, (N, None, "at witness 0")),
     # forall @b: a function range, a single element, none
     (ZERO, "forall @b. @b(0) = 0", {"@b": [ZERO]}, (R, None, "")),
     (ZERO, "forall @b. @b(0) = 0", {"@b": ZERO}, (R, None, "")),
@@ -282,18 +282,18 @@ QUANTIFIER_CASES = [
     (reader(1), "forall @b. exists y. y = @b(0)", {"@b": [witness(4)]}, (R, 4, "")),
     # exists x: the witness at 0, whatever env says about x
     (witness(2), "exists x. @a(x) = 0", {"@a": ALPHA, "x": [0]}, (R, 2, "")),
-    (witness(1), "exists x. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1; ")),
+    (witness(1), "exists x. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1")),
     (STARVED, "exists x. x = x", {}, (F, None, STARVED_NOTE)),
     # exists x < t: the witness read before the bound is evaluated
     (witness(2), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (R, 2, "")),
-    (witness(1), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1; ")),
+    (witness(1), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (N, None, "at witness 1")),
     (witness(3), "exists x < 3. @a(x) = 0", {"@a": ALPHA}, (N, None, "witness 3 out of bound")),
-    (witness(1), "exists x < 3. exists y < 2. y = x", {}, (N, None, "at witness 1; at witness 0; ")),
+    (witness(1), "exists x < 3. exists y < 2. y = x", {}, (N, None, "at witness 1; at witness 0")),
     (STARVED, "exists x < n. x = x", {}, (F, None, STARVED_NOTE)),
     (ZERO, "exists x < n. x = x", {}, NO_BOUND),
     # exists @b: the witness is component 0
-    (ZERO, "exists @b. @b(0) = 0", {}, (R, None, "function witness; ")),
-    (ONE, "exists @b. @b(0) = 0", {}, (N, None, "function witness; ")),
+    (ZERO, "exists @b. @b(0) = 0", {}, (R, None, "function witness")),
+    (ONE, "exists @b. @b(0) = 0", {}, (N, None, "function witness")),
     # --- decided by truth, under ~ ---
     (ZERO, "~ forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 2]}, (N, None, "")),
     (ZERO, "~ forall x. @a(x) = 0", {"@a": ALPHA, "x": [0, 1]}, (R, None, "")),
