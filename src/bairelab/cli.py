@@ -111,10 +111,17 @@ def _parse_env_value(name: str, text: str) -> object:
         return parse_element(text)
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
+        return list(range(_natural(lo), _natural(hi) + 1))
     if "," in text:
-        return [int(part) for part in text.split(",")]
-    return int(text)
+        return [_natural(part) for part in text.split(",")]
+    return _natural(text)
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"number variables range over the naturals, not {value}")
+    return value
 
 
 def parse_env(text: Optional[str]) -> dict[str, object]:
@@ -334,6 +341,9 @@ def _cmd_jump_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_BETA_BITS = 65_536  # beta prefix codes at --upto 21 reach 52,197 bits (const:5)
+
+
 def _cmd_jump_demo(args: argparse.Namespace) -> int:
     alpha = parse_element(args.alpha)
     programs = registry_programs(load_registry(args.registry))
@@ -349,11 +359,9 @@ def _cmd_jump_demo(args: argparse.Namespace) -> int:
         _out(args, f"program.{e}", value, text)
     beta = build_beta(alpha, h, args.upto)
     prefix = [str(v) for v in beta.prefix]
+    codes = [seqcode.bar(beta.at, j, max_bits=_BETA_BITS) for j in range(len(prefix) + 1)]
     _out(args, "beta", ",".join(prefix), "beta prefix: " + " ".join(prefix))
-    survived = all(
-        rho(seqcode.bar(beta.at, j, max_bits=None), alpha, programs) == 1
-        for j in range(len(prefix) + 1)
-    )
+    survived = all(rho(code, alpha, programs) == 1 for code in codes)
     yn = "yes" if survived else "NO"
     text = f"rho keeps every beta prefix up to length {len(prefix)}: {yn}"
     _out(args, "survives", survived, text)
@@ -404,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_opts.add_argument("--registry")
     tree_opts = argparse.ArgumentParser(add_help=False)
     tree_opts.add_argument("--rho", required=True)
-    tree_opts.add_argument("-b", "--branching", type=int, required=True)
-    tree_opts.add_argument("-d", "--depth", type=int, required=True)
+    tree_opts.add_argument("-b", "--branching", type=_counted(1), required=True)
+    tree_opts.add_argument("-d", "--depth", type=_counted(1), required=True)
 
     p = sub.add_parser("parse", aliases=["print"], help="parse a formula and print it back")
     p.add_argument("formula")
@@ -486,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     acc = sub.add_parser("acceptance", help="the acceptance gate")
     asub = acc.add_subparsers(dest="acceptance_command", required=True)
     p = asub.add_parser("run")
-    p.add_argument("--only", type=int, default=None, metavar="N")
+    from .acceptance import CRITERIA  # imported here: acceptance imports cli
+    p.add_argument("--only", type=int, choices=range(1, len(CRITERIA) + 1), metavar="N")
     p.set_defaults(handler=_cmd_acceptance_run)
 
     return top

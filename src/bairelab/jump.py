@@ -3,10 +3,12 @@
 Given alpha, the interleaved sequence beta records alpha itself on even
 slots and diagonal halting facts on odd slots: 0 for a diverging
 machine, least-trace-plus-one for a halting one.  The pruning function
-rho cuts a finite sequence once it visibly deviates from beta.  Every
-prefix of beta survives, and in the limit beta is the only surviving
-path; at a finite depth, a 0 claimed for a halting machine survives
-until the sequence is as long as that machine's trace code.
+rho applies one rule per slot and cuts a finite sequence once some slot
+visibly deviates from beta: an even slot 2k must be alpha(k), and an odd
+slot 2k+1 claims what one bounded run of machine k on k must return.
+Every prefix of beta survives, and in the limit beta is the only
+surviving path; at a finite depth, a 0 claimed for a halting machine
+survives until the sequence is as long as that machine's trace code.
 bar_recurse then walks any pruned tree depth-first, in index order,
 folding a value bottom-up from the cut nodes to the root; it stops at
 the least path still uncut at the depth budget.  bar_verify is one such
@@ -21,16 +23,7 @@ from typing import Callable, Mapping, Union
 from . import seqcode
 from .baire import Tabled
 from .errors import BairelabError
-from .machine import (
-    Diverges,
-    Halts,
-    HaltingInfo,
-    MalformedProgramError,
-    OracleProgram,
-    oracle_fn,
-    run,
-    t_check,
-)
+from .machine import Diverges, Halts, HaltingInfo, OracleProgram, halting_trace, oracle_fn
 
 
 class MissingCertificateError(BairelabError):
@@ -48,55 +41,30 @@ class NotBarredError(BairelabError):
 def rho(s: int, alpha: object, programs: Mapping[int, OracleProgram]) -> int:
     """Prune codes that visibly deviate from the jump sequence of alpha.
 
-    Four cases, checked in order; any hit gives 0, otherwise 1.
-      1. s is not a sequence number: keep (1).
-      2. some even slot 2k differs from alpha(k): cut.
-      3. some odd slot 2k+1 is 0 yet machine k halts on k with a trace
-         code bounded by lh(s): cut.
-      4. some odd slot 2k+1 is m+1 yet m is not the least trace code
-         for machine k on k: cut.
-    Trace codes are unique per (machine, input, oracle): t_check accepts
-    only the packed trace of the real run.  So "m is the least trace"
-    collapses to t_check on m, and case 3 ("some y <= lh(s) passes
-    t_check") is decided by one bounded run instead of a scan over y.
-    A trace of T configurations packs to more than T bits, so a trace
-    code y <= lh(s) needs T < lh(s).bit_length(); running machine k on
-    k for that many steps and comparing the trace with lh(s) is exact.
-    A run that falls off the end of its program has no halting trace,
-    so it refutes nothing.  Indices beyond the registry never get a
-    halting certificate, so a 0 slot for them survives case 3 and a
-    positive slot is cut by case 4.
+    One rule per slot; 0 (cut) when some slot breaks it, otherwise 1.  A
+    number that is not a sequence code is kept.
+      - Even slot 2k must equal alpha(k).
+      - Odd slot 2k+1 holding v claims that machine k on k halts with
+        trace v - 1 (v > 0), or with no trace up to lh(s) (v = 0).  It is
+        cut iff halting_trace(programs[k], k, alpha, v - 1 or lh(s))
+        differs from the claim: v - 1, or None for v = 0.
+    An index beyond the registry has no halting trace: a 0 claim for it
+    survives and a positive one is cut.  Slots are checked in this order:
+    even slots, then 0 claims, then positive claims.
     """
     entries = seqcode.decode(s)
     if entries is None:
         return 1
     q = oracle_fn(alpha)
-    for j, v in enumerate(entries):
-        if j % 2 == 0 and v != q(j // 2):
+    if any(v != q(k) for k, v in enumerate(entries[::2])):
+        return 0
+    for k, v in sorted(enumerate(entries[1::2]), key=lambda claim: claim[1] > 0):
+        program = programs.get(k)
+        bound = v - 1 if v else len(entries)
+        trace = None if program is None else halting_trace(program, k, alpha, bound)
+        if trace != (v - 1 if v else None):
             return 0
-    bound = len(entries)
-    for j, v in enumerate(entries):
-        if j % 2 == 1 and v == 0:
-            k = (j - 1) // 2
-            program = programs.get(k)
-            if program is not None and _halts_within(program, k, alpha, bound):
-                return 0
-    for j, v in enumerate(entries):
-        if j % 2 == 1 and v > 0:
-            k = (j - 1) // 2
-            program = programs.get(k)
-            if program is None or not t_check(program, k, v - 1, alpha):
-                return 0
     return 1
-
-
-def _halts_within(program: OracleProgram, x: int, alpha: object, bound: int) -> bool:
-    """Does some y <= bound pass t_check(program, x, y, alpha)?"""
-    try:
-        result = run(program, x, alpha, bound.bit_length())
-    except MalformedProgramError:
-        return False
-    return result is not None and result.trace <= bound
 
 
 def build_beta(alpha: object, h: HaltingInfo, upto: int) -> Tabled:
@@ -161,14 +129,15 @@ def bar_recurse(
     if b < 1 or d < 1:
         raise ValueError("branching and depth must be at least 1")
 
-    def fold(code: int, path: tuple[int, ...]) -> object:
+    def fold(path: tuple[int, ...]) -> object:
+        code = seqcode.encode(path)
         if rho_fn(code) == 0:
             return base(code)
         if len(path) == d:
             raise NotBarredError(f"uncut node at depth {d}: code {code}", path)
-        return step(code, [fold(seqcode.extend(code, n), path + (n,)) for n in range(b)])
+        return step(code, [fold(path + (n,)) for n in range(b)])
 
-    return fold(1, ())
+    return fold(())
 
 
 def oracle_rho(alpha: object, programs: Mapping[int, OracleProgram]) -> RhoFn:

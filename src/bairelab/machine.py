@@ -5,7 +5,8 @@ The machine starts with the input in r0 and every other register zero,
 and may consult an oracle (a total function on naturals) via QRY.  A
 halting run is summarised by a single natural number: the packed trace.
 Packing is injective and locally checkable, so "y codes a halting run"
-is a decidable predicate (t_check) and the least such y is unique.
+is a decidable predicate (t_check), the least such y is unique, and
+halting_trace finds it below a bound by one bounded run.
 """
 
 from __future__ import annotations
@@ -256,6 +257,21 @@ def run(program: OracleProgram, x: int, alpha: object, fuel: int) -> Optional[Ha
         return None
     configs, output = halted
     return Halts(pack_trace(program.num_registers, configs), output)
+
+
+def halting_trace(program: OracleProgram, x: int, alpha: object, bound: int) -> Optional[int]:
+    """The packed trace of program on x under alpha if it is at most bound,
+    else None, also when control falls off the end of the program.
+
+    One run is exact: a trace of T configurations packs to more than T
+    bits, so a code <= bound needs T < bound.bit_length() steps.  Hence
+    halting_trace(p, x, a, y) == y iff t_check(p, x, y, a).
+    """
+    try:
+        result = run(program, x, alpha, max(1, bound.bit_length()))
+    except MalformedProgramError:
+        return None
+    return result.trace if result is not None and result.trace <= bound else None
 
 
 def t_check(program: OracleProgram, x: int, y: int, alpha: object) -> bool:

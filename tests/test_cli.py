@@ -58,6 +58,9 @@ def test_usage_errors_exit_2():
     assert run("bogus")[0] == 2
     assert run("seq", "decode", "notanumber")[0] == 2
     assert run()[0] == 2
+    for only in ("0", "11"):
+        code, out, err = run("acceptance", "run", "--only", only)
+        assert (code, out) == (2, "") and f"argument --only: invalid choice: {only}" in err
 
 
 @pytest.mark.parametrize(
@@ -66,8 +69,10 @@ def test_usage_errors_exit_2():
         (("seq", "bar", "-1"), "length"),
         (("jump", "demo", "--upto", "-1"), "--upto"),
         (("realize", "check", "--formula", "0=0", "--fuel", "-3"), "--fuel"),
+        (("bar", "verify", "--rho", "builtin:never", "-b", "0", "-d", "2"), "-b/--branching"),
+        (("bar", "recurse", "--rho", "builtin:never", "-b", "2", "-d", "0"), "-d/--depth"),
     ],
-    ids=["seq-bar-length", "jump-demo-upto", "realize-check-fuel"],
+    ids=["seq-bar-length", "jump-demo-upto", "realize-check-fuel", "bar-branching", "bar-depth"],
 )
 def test_negative_counts_are_usage_errors(argv, option):
     code, out, err = run(*argv)
@@ -437,6 +442,18 @@ def test_jump_demo_zero_oracle():
     assert lines[-1].endswith("yes")
 
 
+@pytest.mark.parametrize(
+    "option", [("--upto", "22"), ("--alpha", "fs:1:0=10000000000")], ids=["upto-22", "huge-alpha"]
+)
+def test_jump_demo_refuses_a_beta_prefix_past_the_bit_cap(option):
+    # machine 21's slot, 78,254,940,344, would make a code of about 6e11 bits
+    start = time.perf_counter()
+    code, out, err = run("jump", "demo", *option)
+    assert (code, err) == (1, "error: sequence code exceeds 65536 bits\n")
+    assert "beta prefix" not in out
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bar_verify_outputs():
     assert run("bar", "verify", "--rho", "builtin:uniform2", "-b", "3", "-d", "4")[1] == (
         "barred at depth 2\n"
@@ -466,7 +483,7 @@ def test_bar_rejects_unknown_rho():
 
 
 def test_bar_walks_up_to_the_code_size_guard():
-    # seqcode.extend refuses a code of length 419, so 418 is the deepest
+    # seqcode refuses a code of length 419, so 418 is the deepest
     # level either walk reaches; neither may run out of stack first
     never = ("--rho", "builtin:never", "-b", "1")
     code, out, err = run("bar", "verify", *never, "-d", "418")
@@ -641,6 +658,17 @@ def test_parse_env_forms():
     assert parse_env("") == {}
     with pytest.raises(ValueError):
         parse_env("x")
+    for text in ("x=-3", "x=-1..2", "x=0..-1", "x=1,-2"):
+        with pytest.raises(ValueError, match="naturals"):
+            parse_env(text)
+
+
+@pytest.mark.parametrize(
+    "formula, env", [("x + 3 = 0", "x=-3"), ("@a(x) = 0", "x=-1;@a=zero")], ids=["sum", "apply"]
+)
+def test_realize_check_refuses_a_negative_number(formula, env):
+    code, out, err = run("realize", "check", "--formula", formula, "--env", env)
+    assert (code, out) == (1, "") and err.startswith("error: ") and "naturals" in err
 
 
 def test_cli_and_acceptance_import_without_hypothesis():

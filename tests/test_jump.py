@@ -17,7 +17,6 @@ from bairelab.jump import (
     build_beta,
     rho,
     oracle_rho,
-    _halts_within,
 )
 from bairelab.machine import (
     Halts,
@@ -25,6 +24,7 @@ from bairelab.machine import (
     OracleProgram,
     assemble,
     certify,
+    halting_trace,
     load_registry,
     registry_programs,
     run,
@@ -136,13 +136,14 @@ def test_rho_deep_prefix_reaches_real_trace_codes():
     assert rho(kept, ZERO, programs) == 1
 
 
-# --- case 3: one bounded run against the scan it replaced --------------------
+# --- the one rule per slot against rho's definition --------------------------
 
 FALLS_OFF = OracleProgram(0, assemble("INC 1, INC 1"))
 ASK_ONCE = OracleProgram(0, assemble("QRY 0 0, HALT 0"))  # two steps
+CRITERION_5_ALPHA = FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4)
 DIFF_ALPHAS = (
     ZERO,
-    FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4),
+    CRITERION_5_ALPHA,
     FiniteSupport(((0, 1),), default=0),
     Tabled((2, 0, 7, 1, 0, 3), default=1),
 )
@@ -151,6 +152,33 @@ DIFF_ALPHAS = (
 def _scan_refutes(program, x, alpha, bound):
     """Case 3 as first written: some y <= bound passes t_check."""
     return any(t_check(program, x, y, alpha) for y in range(bound + 1))
+
+
+def _rho_by_definition(s, alpha, programs):
+    """rho by its four cases; any hit gives 0, otherwise 1.
+      1. s is not a sequence number: keep (1).
+      2. some even slot 2k differs from alpha(k): cut.
+      3. some odd slot 2k+1 is 0 yet machine k halts on k with a trace
+         code bounded by lh(s): cut.
+      4. some odd slot 2k+1 is m+1 yet m is not the least trace code
+         for machine k on k: cut.
+    Trace codes are unique, so "m is the least trace" is t_check on m.
+    """
+    entries = seqcode.decode(s)
+    if entries is None:
+        return 1
+    for j, v in enumerate(entries):
+        k = j // 2
+        program = programs.get(k)
+        if j % 2 == 0:
+            cut = v != alpha.at(k)
+        elif v == 0:
+            cut = program is not None and _scan_refutes(program, k, alpha, len(entries))
+        else:
+            cut = program is None or not t_check(program, k, v - 1, alpha)
+        if cut:
+            return 0
+    return 1
 
 
 def _diagonal_cases():
@@ -168,12 +196,52 @@ def _claims_divergence(alpha, length):
     )
 
 
+def _criterion_5_codes():
+    """Criterion 5's beta prefixes, and the prefixes that deviate from beta
+    at their last slot with a v < 8; those stop at slot 19, past machine
+    4's 10,572 in slot 9, to keep the test short."""
+    programs = registry_programs(load_registry())
+    h = certify({k: programs[k] for k in range(21)}, CRITERION_5_ALPHA, 100_000)
+    beta = build_beta(CRITERION_5_ALPHA, h, 21).prefix
+    for j in range(len(beta) + 1):
+        yield seqcode.encode(beta[:j], max_bits=None)
+    for i in range(20):
+        for v in range(8):
+            if v != beta[i]:
+                yield seqcode.encode(beta[:i] + (v,), max_bits=None)
+
+
+def test_rho_matches_its_definition():
+    programs = registry_programs(load_registry())
+    for alpha in DIFF_ALPHAS:
+        for s in range(10_001):
+            assert rho(s, alpha, programs) == _rho_by_definition(s, alpha, programs), s
+    for s in _criterion_5_codes():
+        want = _rho_by_definition(s, CRITERION_5_ALPHA, programs)
+        assert rho(s, CRITERION_5_ALPHA, programs) == want, seqcode.decode(s)
+
+
+def test_halting_trace_returns_exactly_the_code_t_check_accepts():
+    for alpha in DIFF_ALPHAS:
+        for program, k in _diagonal_cases():
+            ys = set(range(65))
+            try:
+                claim = certify({k: program}, alpha, 100_000).get((k, k))
+            except MalformedProgramError:
+                claim = None
+            if isinstance(claim, Halts):
+                ys |= {claim.trace - 1, claim.trace, claim.trace + 1}
+            for y in ys:
+                accepted = t_check(program, k, y, alpha)
+                assert (halting_trace(program, k, alpha, y) == y) == accepted, (k, y)
+
+
 def test_rho_case3_run_matches_the_scan_on_small_bounds():
     for alpha in DIFF_ALPHAS:
         for program, k in _diagonal_cases():
             for bound in range(2, 65):
                 want = _scan_refutes(program, k, alpha, bound)
-                assert _halts_within(program, k, alpha, bound) == want, (k, bound)
+                assert (halting_trace(program, k, alpha, bound) is not None) == want, (k, bound)
                 if 2 * k + 1 < bound:
                     s = _claims_divergence(alpha, bound)
                     assert rho(s, alpha, {k: program}) == (0 if want else 1), (k, bound)
@@ -192,7 +260,7 @@ def test_rho_case3_run_matches_the_scan_at_trace_codes():
             for bound in (claim.trace - 1, claim.trace):
                 want = _scan_refutes(program, k, alpha, bound)
                 assert want == (bound == claim.trace)
-                assert _halts_within(program, k, alpha, bound) == want, (k, bound)
+                assert (halting_trace(program, k, alpha, bound) is not None) == want, (k, bound)
                 seen.add((a, k, bound))
     # under the zero oracle: HALT-immediately on 0, registry program 4
     # (HALT 0 as well) on 4, which sets the deep-prefix bound, and the
@@ -206,7 +274,7 @@ def test_rho_case3_program_falling_off_its_end_cuts_nothing():
     for alpha in DIFF_ALPHAS:
         for bound in (2, 3, 4, 100, 1000):
             assert not _scan_refutes(FALLS_OFF, 0, alpha, bound)
-            assert not _halts_within(FALLS_OFF, 0, alpha, bound)
+            assert halting_trace(FALLS_OFF, 0, alpha, bound) is None
         assert rho(_claims_divergence(alpha, 8), alpha, {0: FALLS_OFF}) == 1
 
 
