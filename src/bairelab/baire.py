@@ -37,7 +37,10 @@ class FiniteSupport(BaireElement):
             raise ValueError("duplicate override point")
         if self.default < 0 or any(k < 0 or v < 0 for k, v in self.overrides):
             raise ValueError("values must be naturals")
-        object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
+        # plain ints: a sequence code would carry its entries along
+        pairs = sorted((int(k), int(v)) for k, v in self.overrides)
+        object.__setattr__(self, "overrides", tuple(pairs))
+        object.__setattr__(self, "default", int(self.default))
 
     def at(self, n: int) -> int:
         for k, v in self.overrides:
@@ -56,6 +59,8 @@ class Tabled(BaireElement):
     def __post_init__(self) -> None:
         if self.default < 0 or any(v < 0 for v in self.prefix):
             raise ValueError("values must be naturals")
+        object.__setattr__(self, "prefix", tuple(map(int, self.prefix)))
+        object.__setattr__(self, "default", int(self.default))
 
     def at(self, n: int) -> int:
         return self.prefix[n] if n < len(self.prefix) else self.default

@@ -4,10 +4,18 @@ A sequence (x0, ..., x_{k-1}) is coded as prod_i prime(i) ** (x_i + 1); the
 empty sequence is 1.  The +1 in the exponent makes the coding injective and
 leaves 0 outside the coded set.  Decoding factors by consecutive primes and
 insists that nothing is left over, so e.g. 5 and 10 are not sequence codes.
+
+The codes that encode, bar, extend and concat return are Code instances:
+ints that carry their entries, so decode (and lh, concat and every reader
+built on decode) reads the entries off them instead of factoring.  Any
+other int is factored: a number parsed from the command line, the result
+of arithmetic on a code (which is a plain int), a Pair term's value.
+extend of such an int factors it once and returns a Code.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 
 from .errors import BairelabError
@@ -49,12 +57,34 @@ def _is_prime(c: int) -> bool:
     return True
 
 
-def encode(items: list[int] | tuple[int, ...], max_bits: int | None = DEFAULT_MAX_BITS) -> int:
+class Code(int):
+    """A sequence code that carries its entries as a list of plain ints.
+
+    Equality, hashing, printing and arithmetic are those of int, and
+    arithmetic gives a plain int.  The entries never include a code, so
+    a Code keeps no other code alive.  Nothing changes the list after
+    construction; decode hands out copies.  It is a list, not a tuple,
+    because CPython 3.11 keeps every freed 20-tuple on a free list it
+    never takes from (up to 2,000 of them), and every code extended past
+    20 entries would leave one there.
+    """
+
+    def __new__(cls, n: int, entries: list[int]) -> Code:
+        code = super().__new__(cls, n)
+        code.entries = entries
+        return code
+
+    def __reduce__(self) -> tuple[type[Code], tuple[int, list[int]]]:
+        return Code, (int(self), self.entries)
+
+
+def encode(items: list[int] | tuple[int, ...], max_bits: int | None = DEFAULT_MAX_BITS) -> Code:
     """Code a finite sequence of naturals; [] codes to 1."""
+    entries = [operator.index(x) for x in items]
     n = 1
-    for i, x in enumerate(items):
+    for i, x in enumerate(entries):
         n = _times_power(n, i, x, max_bits)
-    return n
+    return Code(n, entries)
 
 
 def _times_power(n: int, i: int, x: int, max_bits: int | None) -> int:
@@ -91,6 +121,8 @@ def _extract(n: int, p: int) -> tuple[int, int]:
 
 def decode(n: int) -> list[int] | None:
     """The sequence coded by n, or None when n codes nothing."""
+    if isinstance(n, Code):
+        return list(n.entries)
     if n < 1:
         return None
     if n == 1:
@@ -119,16 +151,22 @@ def lh(n: int) -> int:
     return len(_entries(n))
 
 
-def concat(a: int, b: int) -> int:
+def concat(a: int, b: int) -> Code:
     """Code of the concatenation of two coded sequences."""
     return encode(_entries(a) + _entries(b))
 
 
-def bar(alpha: Callable[[int], int], x: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
+def bar(alpha: Callable[[int], int], x: int, max_bits: int | None = DEFAULT_MAX_BITS) -> Code:
     """Code of the initial segment (alpha(0), ..., alpha(x-1))."""
     return encode([alpha(i) for i in range(x)], max_bits=max_bits)
 
 
-def extend(s: int, item: int, max_bits: int | None = DEFAULT_MAX_BITS) -> int:
-    """Code of the coded sequence s with one more entry appended."""
-    return _times_power(s, len(_entries(s)), item, max_bits)
+def extend(s: int, item: int, max_bits: int | None = DEFAULT_MAX_BITS) -> Code:
+    """Code of the coded sequence s with one more entry appended.
+
+    A Code's entries are copied, not shared with s: a linked list whose
+    nodes pointed at the parent code would keep every prefix's code alive.
+    """
+    entries = s.entries if isinstance(s, Code) else _entries(s)
+    item = operator.index(item)
+    return Code(_times_power(s, len(entries), item, max_bits), entries + [item])

@@ -295,6 +295,18 @@ def test_tabled():
         Tabled((0, -2))
 
 
+def test_elements_store_plain_ints_when_built_from_codes():
+    # a carried code would keep its entries alive in every element
+    a, b, c = (seqcode.encode(xs) for xs in ([1], [2, 0], [0, 0, 3]))
+    fs = FiniteSupport(((a, b), (c, a)), default=b)
+    assert fs.overrides == ((a, b), (c, a)) and fs.at(c) == a
+    assert {type(x) for pair in fs.overrides for x in pair} == {int}
+    assert type(fs.default) is int
+    tab = Tabled((a, b, c), default=c)
+    assert tab.prefix == (a, b, c)
+    assert {type(x) for x in tab.prefix} == {int} and type(tab.default) is int
+
+
 def test_program_element_reads_sequence_structure():
     # QRY 1 2: r1 = 0, so the query fetches slot 0 = lh+1
     el = Program(OracleProgram(0, assemble("QRY 1 2, HALT 2")), fuel=100)

@@ -119,7 +119,9 @@ def test_rho_deep_prefix_reaches_real_trace_codes():
     # the zero oracle, registry program 4 halts with trace 10571, and
     # case 3 cuts a 0 claim once that trace is at most lh(s), so the
     # false claim is cut at prefix length 10571 and survives at 10570.
-    # Codes here run to about a megabit; decode must cope.
+    # Codes here run to about a megabit.  bar's codes carry their
+    # entries; the survivor goes in as a bare int, so decode must factor
+    # a megabit code.
     entries = load_registry()
     programs = registry_programs(entries)
     h = certify({k: programs[k] for k in range(21)}, ZERO, 100_000)
@@ -133,7 +135,7 @@ def test_rho_deep_prefix_reaches_real_trace_codes():
     cut = seqcode.bar(tampered, y4, max_bits=None)
     kept = seqcode.bar(tampered, y4 - 1, max_bits=None)
     assert rho(cut, ZERO, programs) == 0
-    assert rho(kept, ZERO, programs) == 1
+    assert rho(int(kept), ZERO, programs) == 1
 
 
 # --- the one rule per slot against rho's definition --------------------------

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import time
 
 import pytest
@@ -5,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bairelab import seqcode
+from bairelab.baire import FiniteSupport
+from bairelab.jump import DepthExhausted, bar_verify, build_beta, oracle_rho, rho
+from bairelab.machine import OracleProgram, assemble, certify, load_registry, registry_programs
+from bairelab.realize import Status, check_realizes, k2_apply_info, mp_realizer
+from bairelab.schemas import SchemaKind, instantiate
 from bairelab.seqcode import (
+    Code,
     SeqCodeError,
     SeqOverflow,
     bar,
@@ -130,3 +139,90 @@ def test_concat_lengths_add(xs, ys):
 def test_single_entry_codes_are_powers_of_two():
     for n in range(11):
         assert encode([n]) == 2 ** (n + 1)
+
+
+# --- codes that carry their entries ----------------------------------------
+
+# rho's rules read the oracle, run programs and count the prefix length
+RHO_ALPHA = FiniteSupport(((0, 1), (2, 3)), default=0)
+RHO_PROGRAMS = {
+    0: OracleProgram(0, assemble("HALT 0")),
+    1: OracleProgram(1, assemble("QRY 0 0, HALT 0")),
+    2: OracleProgram(2, assemble("JZ 1 0, HALT 0")),
+}
+
+
+def test_codes_copy_and_pickle_to_equal_codes():
+    c = encode([1, 2])
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c == 108
+        assert type(twin) is Code and twin.entries == [1, 2]
+
+
+def test_a_code_prints_as_its_int():
+    c = extend(encode([3, 0]), 4, max_bits=None)
+    n = int(c)
+    assert type(n) is int and n == c
+    assert (str(c), repr(c), format(c, ","), format(c, "x")) == (
+        str(n), repr(n), format(n, ","), format(n, "x"))
+    assert json.dumps({"code": c, "list": [c]}) == json.dumps({"code": n, "list": [n]})
+    assert hash(c) == hash(n) and {c: 1}[n] == 1
+
+
+def test_arithmetic_on_a_code_is_a_plain_int_that_still_decodes():
+    c = encode([2, 0, 5])
+    for result in (c + 0, c * 1, c // 1):
+        assert type(result) is int
+        assert decode(result) == [2, 0, 5] and lh(result) == 3
+        assert type(extend(result, 1)) is Code
+        assert decode(extend(result, 1)) == [2, 0, 5, 1]
+
+
+def test_codes_hold_plain_int_entries():
+    inner = encode([1])
+    c = encode([inner, 0])
+    assert c.entries == [4, 0] and {type(x) for x in c.entries} == {int}
+    assert {type(x) for x in extend(c, inner).entries} == {int}
+    with pytest.raises(TypeError):
+        encode([1.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6), st.lists(st.integers(0, 3), max_size=3),
+       st.integers(0, 5))
+def test_carried_and_factored_codes_agree(xs, ys, item):
+    c, d = encode(xs), encode(ys)
+    assert type(c) is Code and type(int(c)) is int
+    assert decode(c) == decode(int(c)) == xs
+    assert lh(c) == lh(int(c)) == len(xs)
+    assert extend(c, item) == extend(int(c), item)
+    assert decode(extend(c, item)) == decode(extend(int(c), item)) == xs + [item]
+    for left, right in ((c, d), (int(c), d), (c, int(d)), (int(c), int(d))):
+        assert concat(left, right) == concat(c, d)
+        assert decode(concat(left, right)) == xs + ys
+    assert rho(c, RHO_ALPHA, RHO_PROGRAMS) == rho(int(c), RHO_ALPHA, RHO_PROGRAMS)
+
+
+def test_carried_codes_are_never_factored(monkeypatch):
+    programs = registry_programs(load_registry())
+    alpha = FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4)
+    beta = build_beta(alpha, certify({k: programs[k] for k in range(21)}, alpha, 100_000), 21)
+    prefix = bar(beta.at, 42, max_bits=None)
+    deviant = extend(bar(beta.at, 41, max_bits=None), beta.at(41) + 1, max_bits=None)
+    zero = FiniteSupport()
+    mp = (mp_realizer(), instantiate(SchemaKind.MP), {"@a": FiniteSupport(((3, 0),), 2)})
+
+    calls = []
+    real = seqcode._extract
+
+    def counted(n, p):
+        calls.append(p)
+        return real(n, p)
+
+    monkeypatch.setattr(seqcode, "_extract", counted)
+    assert rho(prefix, alpha, programs) == 1
+    assert rho(deviant, alpha, programs) == 0
+    assert bar_verify(oracle_rho(zero, programs), 3, 6) == DepthExhausted((0,) * 6)
+    assert k2_apply_info(zero, beta, 3, 200) is None
+    assert check_realizes(*mp, fuel=100).status is Status.REALIZED
+    assert calls == []
