@@ -118,9 +118,12 @@ def _parse_env_value(name: str, text: str) -> object:
 
 
 def _natural(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"number variables range over the naturals, not {value}")
+    try:
+        value: int | str = int(text)
+    except ValueError:
+        value = text
+    if isinstance(value, str) or value < 0:
+        raise ValueError(f"number variables range over the naturals, not {value!r}")
     return value
 
 

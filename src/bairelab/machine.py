@@ -183,13 +183,8 @@ class Halts:
 
 @dataclass(frozen=True)
 class Diverges:
-    """The machine state (pc, registers) recurred: steps first and again.
+    """A machine state (pc, registers) that the run reached twice."""
 
-    A registry claim records only the state, with both steps -1.
-    """
-
-    first: int
-    again: int
     state: tuple[int, ...]
 
 
@@ -208,15 +203,15 @@ def _step(ins: Instr, pc: int, regs: list[int], pending: int) -> int:
 
 
 def _steps(
-    program: OracleProgram, x: int, alpha: object, fuel: int, seen: Optional[dict] = None
+    program: OracleProgram, x: int, alpha: object, fuel: int, seen: Optional[set] = None
 ) -> Union[tuple[list[Config], int], Diverges, None]:
     """Run program on x under oracle alpha for at most fuel steps.
 
     The machine's one stepping loop.  It returns (configs, output) when
     the run halts, configs being every configuration, HALT step included;
     a Diverges when a (pc, registers) state recurs, checked only when the
-    caller passes a seen dict (state -> first step); None when fuel runs
-    out.  Control falling off the end raises MalformedProgramError.
+    caller passes a seen set of states; None when fuel runs out.  Control
+    falling off the end raises MalformedProgramError.
     """
     q = oracle_fn(alpha)
     code = program.instructions
@@ -229,8 +224,8 @@ def _steps(
         if seen is not None:
             state = (pc, *regs)
             if state in seen:
-                return Diverges(seen[state], step, state)
-            seen[state] = step
+                return Diverges(state)
+            seen.add(state)
         ins = code[pc]
         pending = q(regs[ins.src]) if isinstance(ins, Query) else 0
         configs.append((pc, *regs, pending))
@@ -331,7 +326,7 @@ def certify(
     """
     info: HaltingInfo = {}
     for e, program in programs.items():
-        end = _steps(program, e, alpha, fuel, seen={})
+        end = _steps(program, e, alpha, fuel, seen=set())
         if isinstance(end, Diverges):
             info[(e, e)] = end
         elif end is not None:
@@ -423,7 +418,7 @@ def parse_registry(text: str) -> tuple[RegistryEntry, ...]:
                 claim = Halts(y, unpacked[1][-1][1 + out_reg])
             elif status.startswith("diverges@"):
                 state = tuple(int(p) for p in status[len("diverges@") :].split(":"))
-                claim = Diverges(-1, -1, state)
+                claim = Diverges(state)
             else:
                 raise RegistryError(f"bad status {status!r}")
         except (ValueError, BairelabError) as exc:
@@ -457,14 +452,10 @@ def verify_registry(entries: Sequence[RegistryEntry]) -> None:
     for entry in entries:
         e = entry.program.index
         got = recomputed.get((e, e))
-        match entry.claim, got:
-            case Halts(y, out), Halts(y2, out2) if y == y2 and out == out2:
-                if not t_check(entry.program, e, y, _ZERO_ORACLE):
-                    raise RegistryError(f"program {e}: claimed trace fails t_check")
-            case Diverges(_, _, state), Diverges(_, _, state2) if state == state2:
-                pass
-            case _:
-                raise RegistryError(f"program {e}: claim {entry.claim} vs {got}")
+        if entry.claim != got:
+            raise RegistryError(f"program {e}: claim {entry.claim} vs {got}")
+        if isinstance(got, Halts) and not t_check(entry.program, e, got.trace, _ZERO_ORACLE):
+            raise RegistryError(f"program {e}: claimed trace fails t_check")
 
 
 def registry_programs(

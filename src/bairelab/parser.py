@@ -206,27 +206,20 @@ class _State:
 
 
 def parse_formula(src: str) -> Formula:
-    return _parse(src, _imp)
+    return _parse(_State(tokenize(src)), tree_depth, "syntax tree")
 
 
-def parse_term(src: str) -> Term:
-    return _parse(src, _term)
-
-
-def parse_functor(src: str) -> Functor:
-    return _parse(src, _functor)
-
-
-def _parse(src: str, production):
-    st = _State(tokenize(src))
-    node = production(st)
+def _parse(st: _State, depth_of: Callable[[Formula], int], noun: str) -> Formula:
+    """The formula spanning all of st's tokens, refused when depth_of counts
+    more than MAX_DEPTH levels in it."""
+    f = _imp(st)
     if not st.at("EOF"):
         st.want("EOF")
         raise st.error()
-    depth = tree_depth(node)
+    depth = depth_of(f)
     if depth > MAX_DEPTH:
-        raise NestingError(f"syntax tree nests {depth} levels deep; the limit is {MAX_DEPTH}", 1, 1)
-    return node
+        raise NestingError(f"{noun} nests {depth} levels deep; the limit is {MAX_DEPTH}", 1, 1)
+    return f
 
 
 # -- formulas ---------------------------------------------------------------
@@ -451,12 +444,4 @@ def parse_prop(src: str) -> Formula:
     parse_formula, it refuses nesting deeper than MAX_DEPTH levels, counted
     in formula levels."""
     toks = [t._replace(kind="IDENT") if t.text in KEYWORDS else t for t in tokenize(src)]
-    st = _State(toks, atom=_prop_atom)
-    f = _imp(st)
-    if not st.at("EOF"):
-        st.want("EOF")
-        raise st.error()
-    levels = _prop_depth(f)
-    if levels > MAX_DEPTH:
-        raise NestingError(f"formula nests {levels} levels deep; the limit is {MAX_DEPTH}", 1, 1)
-    return f
+    return _parse(_State(toks, atom=_prop_atom), _prop_depth, "formula")

@@ -1,4 +1,4 @@
-"""Pretty printer: inverse of the parser on abstract syntax.
+"""Pretty printer: inverse of the parser on formulas.
 
 `parse_formula(format_formula(f)) == f` holds for every well-formed tree;
 the round trip is exercised heavily by the test suite.  Quantifiers take
@@ -46,14 +46,6 @@ from .syntax import (
 _IMP, _OR, _AND, _NOT = 1, 2, 3, 4
 # binary connective -> (symbol, precedence of its left and right operand)
 _BINARY = {Imp: ("->", _IMP + 1, _IMP), Or: ("|", _OR, _OR + 1), And: ("&", _AND, _AND + 1)}
-
-
-def format_term(t: Term) -> str:
-    return _tm(t, 0)
-
-
-def format_functor(f: Functor) -> str:
-    return _fn(f)
 
 
 def format_formula(f: Formula) -> str:

@@ -171,11 +171,7 @@ def test_t_check_rejects_truncation_and_padding():
 def test_certify_splits_halts_and_loops():
     programs = {0: TIGHT_LOOP, 1: HALT_NOW, 2: QUERY_HALT}
     info = certify(programs, ZERO, 1000)
-    match info[(0, 0)]:
-        case Diverges(first, again, state):
-            assert first < again and state == (0, 0)
-        case other:
-            pytest.fail(f"expected divergence, got {other}")
+    assert info[(0, 0)] == Diverges((0, 0))
     match info[(1, 1)]:
         case Halts(y, output):
             assert output == 1 and t_check(HALT_NOW, 1, y, ZERO)
@@ -264,9 +260,17 @@ def test_registry_rejects_corruption():
         parse_registry("0 HALT 0 ; flies")
     with pytest.raises(RegistryError):
         parse_registry("0 HALT 0")
-    tampered = parse_registry("0 JZ 0 0, HALT 0 ; diverges@0:7")
-    with pytest.raises(RegistryError):
-        verify_registry(tampered)
+    loop_trace = run(TIGHT_LOOP, 1, ZERO, 10).trace
+    for text in (
+        "0 JZ 0 0, HALT 0 ; diverges@0:7",  # the wrong repeated state
+        "0 HALT 0 ; diverges@0:0",  # a halting program claimed to loop
+        "0 HALT 0 ; halts=10571",  # the trace of HALT 0 on input 4
+        f"0 JZ 0 0, HALT 0 ; halts={loop_trace}",  # its halting run on input 1
+        "0 INC 1, JZ 2 0, HALT 0 ; diverges@0:0:0",  # no state repeats within the fuel
+    ):
+        with pytest.raises(RegistryError, match="program 0: claim"):
+            verify_registry(parse_registry(text))
+    verify_registry(parse_registry("0 HALT 0 ; halts=663"))
 
 
 def test_registry_programs_mapping():

@@ -18,7 +18,7 @@ import bairelab
 from bairelab import cli, seqcode
 from bairelab.cli import build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
-from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula, parse_functor, parse_term
+from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula
 from bairelab.schemas import PAPER_MP_DISPLAY
 from bairelab.syntax import tree_depth
 
@@ -135,6 +135,22 @@ def test_parse_refuses_nesting_over_the_limit(src):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and f"{MAX_DEPTH}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("parse", " & ".join(["0 = 0"] * 100)),
+         "1:1: syntax tree nests 101 levels deep; the limit is 100"),
+        (("oracle", "ipc", " & ".join(["p"] * 101)),
+         "1:1: formula nests 101 levels deep; the limit is 100"),
+        (("parse", "0 = 0 0"), "1:7: unexpected '0' (expected one of: EOF)"),
+        (("oracle", "ipc", "p q"), "1:3: unexpected 'q' (expected one of: EOF)"),
+    ],
+    ids=["tree-depth", "prop-depth", "parse-trailing", "prop-trailing"],
+)
+def test_both_parse_drivers_keep_their_messages(argv, message):
+    assert run(*argv) == (1, "", f"error: {message}\n")
 
 
 def test_passes_run_on_trees_at_the_nesting_limit():
@@ -381,9 +397,10 @@ _FORMULA_PIECES += ["\u00b2", "\u0661", "@\u00e9", "\u00c9", "@", "@A", "Sx", "X
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_FORMULA_PIECES), max_size=12).map("".join))
 def test_parse_refusals_are_parse_errors_with_a_position(src):
-    for parse in (parse_formula, parse_term, parse_functor):
+    # src read as a formula, a term and a functor
+    for text in (src, f"{src} = 0", f"({src})(0) = 0"):
         with contextlib.suppress(ParseError):
-            assert parse(src) is not None
+            assert parse_formula(text) is not None
     code, out, err = run("parse", src)
     assert code in (0, 1) or (code == 2 and src.startswith("-"))
     assert (re.match(r"error: \d+:\d+: ", err) is not None) == (code == 1)
@@ -661,6 +678,11 @@ def test_parse_env_forms():
     for text in ("x=-3", "x=-1..2", "x=0..-1", "x=1,-2"):
         with pytest.raises(ValueError, match="naturals"):
             parse_env(text)
+    for text in ("x=1..", "xs=1,,2"):
+        with pytest.raises(ValueError, match="^number variables range over the naturals, not ''$"):
+            parse_env(text)
+    with pytest.raises(ValueError, match="^number variables range over the naturals, not 'a'$"):
+        parse_env("x=a")
 
 
 @pytest.mark.parametrize(

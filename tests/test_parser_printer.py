@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from bairelab.parser import ParseError, parse_formula, parse_functor, parse_term
-from bairelab.printer import format_formula, format_functor, format_term, to_sexpr
+from bairelab.parser import ParseError, parse_formula
+from bairelab.printer import format_formula, to_sexpr
 from bairelab.syntax import (
     Add,
     And,
@@ -32,50 +32,55 @@ from bairelab.syntax import (
 from strategies import formulas, functors, terms
 
 
+def _term(src):
+    """The term src, read as the left side of an equation."""
+    return parse_formula(f"{src} = 0").left
+
+
 def test_parse_numerals_and_successor():
-    assert parse_term("0") == Zero()
-    assert parse_term("3") == numeral(3)
-    assert parse_term("S(0)") == Succ(Zero())
-    assert parse_term("S(x)") == Succ(NumVar("x"))
+    assert _term("0") == Zero()
+    assert _term("3") == numeral(3)
+    assert _term("S(0)") == Succ(Zero())
+    assert _term("S(x)") == Succ(NumVar("x"))
 
 
 def test_parse_arithmetic_precedence():
-    assert parse_term("x + y * z") == Add(NumVar("x"), Mul(NumVar("y"), NumVar("z")))
-    assert parse_term("x * y + z") == Add(Mul(NumVar("x"), NumVar("y")), NumVar("z"))
-    assert parse_term("x + y + z") == Add(Add(NumVar("x"), NumVar("y")), NumVar("z"))
-    assert parse_term("x * y * z") == Mul(Mul(NumVar("x"), NumVar("y")), NumVar("z"))
-    assert parse_term("(x + y) * z") == Mul(Add(NumVar("x"), NumVar("y")), NumVar("z"))
+    assert _term("x + y * z") == Add(NumVar("x"), Mul(NumVar("y"), NumVar("z")))
+    assert _term("x * y + z") == Add(Mul(NumVar("x"), NumVar("y")), NumVar("z"))
+    assert _term("x + y + z") == Add(Add(NumVar("x"), NumVar("y")), NumVar("z"))
+    assert _term("x * y * z") == Mul(Mul(NumVar("x"), NumVar("y")), NumVar("z"))
+    assert _term("(x + y) * z") == Mul(Add(NumVar("x"), NumVar("y")), NumVar("z"))
 
 
 def test_parse_pairing():
-    assert parse_term("2^x * 3^y") == Pair(NumVar("x"), NumVar("y"))
-    assert parse_term("2^(x + 1) * 3^0") == Pair(Add(NumVar("x"), numeral(1)), Zero())
+    assert _term("2^x * 3^y") == Pair(NumVar("x"), NumVar("y"))
+    assert _term("2^(x + 1) * 3^0") == Pair(Add(NumVar("x"), numeral(1)), Zero())
     # a pairing is still a factor: products continue past it
-    assert parse_term("2^x * 3^y * z") == Mul(Pair(NumVar("x"), NumVar("y")), NumVar("z"))
+    assert _term("2^x * 3^y * z") == Mul(Pair(NumVar("x"), NumVar("y")), NumVar("z"))
     # plain products of numerals are not pairings
-    assert parse_term("2 * 3") == Mul(numeral(2), numeral(3))
+    assert _term("2 * 3") == Mul(numeral(2), numeral(3))
 
 
 def test_parse_function_application():
-    assert parse_term("@a(x)") == Apply(FnVar("@a"), NumVar("x"))
-    assert parse_term("(lam x. x + 1)(y)") == Apply(
+    assert _term("@a(x)") == Apply(FnVar("@a"), NumVar("x"))
+    assert _term("(lam x. x + 1)(y)") == Apply(
         Lambda("x", Add(NumVar("x"), numeral(1))), NumVar("y")
     )
-    assert parse_term("ap(@a, @b)(x)") == Apply(ContApply(FnVar("@a"), FnVar("@b")), NumVar("x"))
+    assert _term("ap(@a, @b)(x)") == Apply(ContApply(FnVar("@a"), FnVar("@b")), NumVar("x"))
 
 
 def test_parse_sequence_formers():
-    assert parse_term("ext(s, n)") == SeqExt(NumVar("s"), NumVar("n"))
-    assert parse_term("barof(@a, x)") == PrefixCode(FnVar("@a"), NumVar("x"))
-    assert parse_term("barof(lam n. 0, 2)") == PrefixCode(Lambda("n", Zero()), numeral(2))
+    assert _term("ext(s, n)") == SeqExt(NumVar("s"), NumVar("n"))
+    assert _term("barof(@a, x)") == PrefixCode(FnVar("@a"), NumVar("x"))
+    assert _term("barof(lam n. 0, 2)") == PrefixCode(Lambda("n", Zero()), numeral(2))
 
 
 def test_parse_functor_forms():
-    assert parse_functor("@a") == FnVar("@a")
-    assert parse_functor("lam x. x * x") == Lambda("x", Mul(NumVar("x"), NumVar("x")))
-    assert parse_functor("ap(lam x. x, @b)") == ContApply(Lambda("x", NumVar("x")), FnVar("@b"))
-    for src in ("@a", "lam x. x * x", "ap(lam x. x, @b)"):
-        assert format_functor(parse_functor(src)) == src
+    assert _term("@a(0)").fn == FnVar("@a")
+    assert _term("(lam x. x * x)(0)").fn == Lambda("x", Mul(NumVar("x"), NumVar("x")))
+    assert _term("ap(lam x. x, @b)(0)").fn == ContApply(Lambda("x", NumVar("x")), FnVar("@b"))
+    for src in ("@a(0) = 0", "(lam x. x * x)(0) = 0", "ap(lam x. x, @b)(0) = 0"):
+        assert format_formula(parse_formula(src)) == src
 
 
 def test_parse_connective_precedence():
@@ -129,7 +134,7 @@ def test_parse_error_position_and_expectations():
     assert ei2.value.expected  # something was expected at end of input
 
     with pytest.raises(ParseError):
-        parse_term("x +")
+        _term("x +")
     with pytest.raises(ParseError):
         parse_formula("x == y")
 
@@ -190,10 +195,13 @@ def test_print_quantifier_parenthesization():
 
 
 def test_print_numerals():
-    assert format_term(numeral(4)) == "4"
-    assert format_term(Succ(Add(NumVar("x"), numeral(1)))) == "S(x + 1)"
-    assert format_term(Pair(NumVar("a"), numeral(2))) == "2^a * 3^2"
-    assert format_term(Mul(NumVar("c"), Pair(NumVar("a"), NumVar("b")))) == "c * (2^a * 3^b)"
+    for t, src in [
+        (numeral(4), "4"),
+        (Succ(Add(NumVar("x"), numeral(1))), "S(x + 1)"),
+        (Pair(NumVar("a"), numeral(2)), "2^a * 3^2"),
+        (Mul(NumVar("c"), Pair(NumVar("a"), NumVar("b"))), "c * (2^a * 3^b)"),
+    ]:
+        assert format_formula(Eq(t, Zero())) == f"{src} = 0"
 
 
 def test_sexpr_shapes():
@@ -204,10 +212,6 @@ def test_sexpr_shapes():
 
 def _roundtrip_formula(f):
     assert parse_formula(format_formula(f)) == f
-
-
-def _roundtrip_term(t):
-    assert parse_term(format_term(t)) == t
 
 
 def test_roundtrip_handpicked():
@@ -235,10 +239,10 @@ def test_roundtrip_random_formulas(f):
 @settings(max_examples=300, deadline=None)
 @given(terms())
 def test_roundtrip_random_terms(t):
-    _roundtrip_term(t)
+    _roundtrip_formula(Eq(t, t))
 
 
 @settings(max_examples=300, deadline=None)
 @given(functors())
 def test_roundtrip_random_functors(f):
-    assert parse_functor(format_functor(f)) == f
+    _roundtrip_formula(Eq(Apply(f, Zero()), Zero()))
