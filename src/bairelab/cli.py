@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Callable, Optional
 
@@ -60,6 +61,7 @@ def parse_element(spec: str) -> BaireElement:
     | file:PATH (a JSON object with "default" plus "overrides" or "prefix").
     """
     head, _, rest = spec.partition(":")
+    num = lambda text: _natural(text, f"element spec {spec!r} takes naturals")  # noqa: E731
     match head:
         case "zero":
             return FiniteSupport((), 0)
@@ -68,17 +70,17 @@ def parse_element(spec: str) -> BaireElement:
         case "dns1":
             return dns1_realizer()
         case "const":
-            return FiniteSupport((), int(rest))
+            return FiniteSupport((), num(rest))
         case "fs":
-            default, *paired = rest.split(":") if rest else [""]
+            default, *paired = rest.split(":")
             overrides = []
             for pair in paired:
                 k, _, v = pair.partition("=")
-                overrides.append((int(k), int(v)))
-            return FiniteSupport(tuple(overrides), int(default))
+                overrides.append((num(k), num(v)))
+            return FiniteSupport(tuple(overrides), num(default))
         case "tab":
-            default, *values = rest.split(":") if rest else [""]
-            return Tabled(tuple(int(v) for v in values), int(default))
+            default, *values = rest.split(":")
+            return Tabled(tuple(map(num, values)), num(default))
         case "file":
             with open(rest, encoding="utf-8") as fh:
                 return _json_element(json.load(fh))
@@ -117,14 +119,14 @@ def _parse_env_value(name: str, text: str) -> object:
     return _natural(text)
 
 
-def _natural(text: str) -> int:
+def _natural(text: str, what: str = "number variables range over the naturals") -> int:
+    """text read as a numeral of ASCII digits, the lexer's NUM; else raise what."""
     try:
-        value: int | str = int(text)
-    except ValueError:
-        value = text
-    if isinstance(value, str) or value < 0:
-        raise ValueError(f"number variables range over the naturals, not {value!r}")
-    return value
+        if re.fullmatch("[0-9]+", text):
+            return int(text)
+    except ValueError:  # only past sys.get_int_max_str_digits() digits
+        pass
+    raise ValueError(f"{what}, not {text!r}")
 
 
 def parse_env(text: Optional[str]) -> dict[str, object]:
@@ -176,9 +178,11 @@ def _out(args: argparse.Namespace, key: str, value: object, text: object = ...) 
 
 
 def _counted(minimum: int) -> Callable[[str], int]:
-    """An argparse type for an int of at least minimum."""
+    """An argparse type for an int of at least minimum, in ASCII digits."""
 
     def count(text: str) -> int:
+        if not re.fullmatch("-?[0-9]+", text):
+            raise argparse.ArgumentTypeError(f"must be ASCII digits, not {text!r}")
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = acc.add_subparsers(dest="acceptance_command", required=True)
     p = asub.add_parser("run")
     from .acceptance import CRITERIA  # imported here: acceptance imports cli
-    p.add_argument("--only", type=int, choices=range(1, len(CRITERIA) + 1), metavar="N")
+    p.add_argument("--only", type=_counted(0), choices=range(1, len(CRITERIA) + 1), metavar="N")
     p.set_defaults(handler=_cmd_acceptance_run)
 
     return top

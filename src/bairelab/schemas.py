@@ -137,17 +137,20 @@ def theory_schemas(name: str) -> TheoryInfo:
 # ---------------------------------------------------------------------------
 # binding plumbing
 
-Binding = dict[str, "str | NumVar | FnVar | Formula"]
+# a role's variable name, or for "bar" a formula over the path variable
+Binding = dict[str, "str | Formula"]
+
+# every role some kind reads, and the kinds that read no body
+_ROLES = frozenset({"alpha", "bar", "choice", "n", "rho", "u", "v", "w", "x", "y"})
+_BODILESS = frozenset({SchemaKind.OPEN_EQ, SchemaKind.MP, SchemaKind.DNS1})
 
 
-def _as_name(value: str | NumVar | FnVar, role: str, default: str) -> str:
+def _as_name(value: str | Formula, role: str, default: str) -> str:
     """The variable name bound to a role, of the sort of its default."""
     fun = default.startswith("@")
-    if isinstance(value, FnVar if fun else NumVar):
-        return value.name
     if isinstance(value, str):
         return check_fun_name(value) if fun else check_num_name(value)
-    raise SchemaError(f"binding for {role!r} must be a {'function' if fun else 'number'} variable")
+    raise SchemaError(f"binding for {role!r} must be a {'function' if fun else 'number'} variable name")
 
 
 def _designated(binding: Binding, role: str, default: str) -> str:
@@ -203,6 +206,10 @@ def is_qf_admissible(f: Formula) -> bool:
 
 def instantiate(kind: SchemaKind, body: Formula | None = None, binding: Binding | None = None) -> Formula:
     b: Binding = dict(binding or {})
+    if unknown := sorted(b.keys() - _ROLES):
+        raise SchemaError(f"no schema reads role {unknown[0]!r}; roles: {', '.join(sorted(_ROLES))}")
+    if body is not None and kind in _BODILESS:
+        raise SchemaError(f"schema {kind.value} takes no body formula")
     match kind:
         case SchemaKind.AC00:
             return _choice_numbers(_need_body(kind, body), b)

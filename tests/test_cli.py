@@ -18,7 +18,7 @@ import bairelab
 from bairelab import cli, seqcode
 from bairelab.cli import build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
-from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula
+from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula, tokenize
 from bairelab.schemas import PAPER_MP_DISPLAY
 from bairelab.syntax import tree_depth
 
@@ -78,6 +78,22 @@ def test_negative_counts_are_usage_errors(argv, option):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage: ") and f"argument {option}: must be at least " in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("bar", "verify", "--rho", "builtin:never", "-b", "٢", "-d", "2"), "-b/--branching"),
+        (("realize", "check", "--formula", "0=0", "--fuel", "1_000"), "--fuel"),
+        (("seq", "bar", "+3"), "length"),
+        (("acceptance", "run", "--only", "٣"), "--only"),
+    ],
+    ids=["arabic-indic-branching", "underscored-fuel", "plus-length", "arabic-indic-only"],
+)
+def test_counts_are_ascii_digits(argv, option):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and f"argument {option}: must be ASCII digits, not " in err
 
 
 def test_domain_errors_exit_1_with_message():
@@ -233,6 +249,21 @@ def test_schema_with_body_and_binding():
     )
     assert code == 0
     assert "exists @c." in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("schema", "ac00", "--body", "x = y", "--bind", "choise=@c"),
+            "error: no schema reads role 'choise'; roles: alpha, bar, choice, n, rho, u, v, w, x, y\n",
+        ),
+        (("schema", "mp", "--body", "x = 0"), "error: schema mp takes no body formula\n"),
+    ],
+    ids=["unknown-role", "body-for-mp"],
+)
+def test_schema_refuses_what_it_would_ignore(argv, message):
+    assert run(*argv) == (1, "", message)
 
 
 def test_schema_theory_listing():
@@ -622,6 +653,35 @@ def test_parse_element_specs():
     assert parse_element("dns1").at(0) == 0
     with pytest.raises(ValueError):
         parse_element("wat:1")
+    for spec, bad in [
+        ("const:", ""), ("fs:0:a=1", "a"), ("fs:0:1", ""), ("tab:1:٣", "٣"), ("tab:+1", "+1")
+    ]:
+        with pytest.raises(ValueError, match=f"^element spec '{re.escape(spec)}' takes naturals, not '{re.escape(bad)}'$"):
+            parse_element(spec)
+
+
+@pytest.mark.parametrize("spec", ["const:", "fs:0:a=1", "tab:1:٣"])
+def test_realize_check_refuses_a_bad_element_spec(spec):
+    code, out, err = run("realize", "check", "--formula", "0 = 0", "--realizer", spec)
+    assert (code, out) == (1, "") and err.startswith(f"error: element spec '{spec}' takes naturals")
+
+
+@given(
+    st.one_of(st.text(), st.text(alphabet="0123456789٣_+-a")).filter(
+        lambda text: not any(c.isspace() for c in text)
+    )
+)
+def test_natural_reads_exactly_the_lexers_numerals(text):
+    try:
+        kinds = [t.kind for t in tokenize(text)]
+    except ParseError:
+        kinds = []
+    try:
+        cli._natural(text)
+        read = True
+    except ValueError:
+        read = False
+    assert read == (kinds == ["NUM", "EOF"])
 
 
 def test_parse_element_file_specs(tmp_path):
@@ -681,8 +741,9 @@ def test_parse_env_forms():
     for text in ("x=1..", "xs=1,,2"):
         with pytest.raises(ValueError, match="^number variables range over the naturals, not ''$"):
             parse_env(text)
-    with pytest.raises(ValueError, match="^number variables range over the naturals, not 'a'$"):
-        parse_env("x=a")
+    for text, bad in [("x=a", "a"), ("x=٣", "٣"), ("y=1_0", "1_0"), ("z=+4", "+4"), ("x=-3", "-3")]:
+        with pytest.raises(ValueError, match=f"^number variables range over the naturals, not '{re.escape(bad)}'$"):
+            parse_env(text)
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,19 @@ def test_bar_binding_must_be_a_formula():
     assert str(exc.value) == "binding for 'bar' must be a formula over the path variable"
 
 
+def test_names_are_bound_as_strings():
+    with pytest.raises(SchemaError, match="^binding for 'x' must be a number variable name$"):
+        instantiate(SchemaKind.INDUCTION, body=Eq(X, X), binding={"x": X})
+
+
+def test_instantiate_refuses_what_it_would_ignore():
+    with pytest.raises(SchemaError, match="^no schema reads role 'choise'; roles: "):
+        instantiate(SchemaKind.AC00, body=Eq(X, Y), binding={"choise": "@c"})
+    for kind in (SchemaKind.OPEN_EQ, SchemaKind.MP, SchemaKind.DNS1):
+        with pytest.raises(SchemaError, match=f"^schema {kind.value} takes no body formula$"):
+            instantiate(kind, body=Eq(X, X))
+
+
 def test_freshness_choice_variable():
     body = Eq(Apply(FnVar("@b"), X), Y)
     # default choice name steps aside
