@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from typing import Callable, Optional
 
 from . import seqcode
 from .baire import BaireElement, FiniteSupport, Tabled
-from .errors import BairelabError
+from .errors import BairelabError, natural
 from .jump import (
     BUILTIN_BASES,
     BUILTIN_RHOS,
@@ -61,7 +60,7 @@ def parse_element(spec: str) -> BaireElement:
     | file:PATH (a JSON object with "default" plus "overrides" or "prefix").
     """
     head, _, rest = spec.partition(":")
-    num = lambda text: _natural(text, f"element spec {spec!r} takes naturals")  # noqa: E731
+    num = lambda text: natural(text, f"element spec {spec!r} takes naturals")  # noqa: E731
     match head:
         case "zero":
             return FiniteSupport((), 0)
@@ -83,7 +82,10 @@ def parse_element(spec: str) -> BaireElement:
             return Tabled(tuple(map(num, values)), num(default))
         case "file":
             with open(rest, encoding="utf-8") as fh:
-                return _json_element(json.load(fh))
+                try:
+                    return _json_element(json.load(fh))
+                except RecursionError:
+                    raise ValueError(f"{rest}: JSON nested too deep to read") from None
     raise ValueError(f"unknown element spec {spec!r}")
 
 
@@ -111,22 +113,13 @@ def _parse_env_value(name: str, text: str) -> object:
         if "," in text:
             return [parse_element(part) for part in text.split(",")]
         return parse_element(text)
+    num = lambda text: natural(text, "number variables range over the naturals")  # noqa: E731
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(_natural(lo), _natural(hi) + 1))
+        return range(num(lo), num(hi) + 1)
     if "," in text:
-        return [_natural(part) for part in text.split(",")]
-    return _natural(text)
-
-
-def _natural(text: str, what: str = "number variables range over the naturals") -> int:
-    """text read as a numeral of ASCII digits, the lexer's NUM; else raise what."""
-    try:
-        if re.fullmatch("[0-9]+", text):
-            return int(text)
-    except ValueError:  # only past sys.get_int_max_str_digits() digits
-        pass
-    raise ValueError(f"{what}, not {text!r}")
+        return [num(part) for part in text.split(",")]
+    return num(text)
 
 
 def parse_env(text: Optional[str]) -> dict[str, object]:
@@ -181,9 +174,12 @@ def _counted(minimum: int) -> Callable[[str], int]:
     """An argparse type for an int of at least minimum, in ASCII digits."""
 
     def count(text: str) -> int:
-        if not re.fullmatch("-?[0-9]+", text):
-            raise argparse.ArgumentTypeError(f"must be ASCII digits, not {text!r}")
-        value = int(text)
+        try:
+            value = natural(text.removeprefix("-"), "must be ASCII digits")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if text.startswith("-"):
+            value = -value
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
         return value
@@ -430,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     seq = sub.add_parser("seq", help="prime power sequence codes")
     seqsub = seq.add_subparsers(dest="seq_command", required=True)
     p = seqsub.add_parser("encode")
-    p.add_argument("entries", nargs="*", type=int)
+    p.add_argument("entries", nargs="*", type=_counted(0))
     p.set_defaults(handler=_cmd_seq_encode)
     p = seqsub.add_parser("decode")
-    p.add_argument("code", type=int)
+    p.add_argument("code", type=_counted(0))
     p.set_defaults(handler=_cmd_seq_decode)
     p = seqsub.add_parser("concat")
-    p.add_argument("left", type=int)
-    p.add_argument("right", type=int)
+    p.add_argument("left", type=_counted(0))
+    p.add_argument("right", type=_counted(0))
     p.set_defaults(handler=_cmd_seq_concat)
     p = seqsub.add_parser("bar", parents=[alpha_opts])
     p.add_argument("length", type=_counted(0))
@@ -482,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     jump = sub.add_parser("jump", help="the pruning function and the jump sequence")
     jsub = jump.add_subparsers(dest="jump_command", required=True)
     p = jsub.add_parser("run", parents=[oracle_opts])
-    p.add_argument("code", type=int)
+    p.add_argument("code", type=_counted(0))
     p.set_defaults(handler=_cmd_jump_run)
     p = jsub.add_parser("demo", parents=[oracle_opts])
     p.add_argument("--upto", type=_counted(0), default=8)

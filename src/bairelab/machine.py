@@ -16,7 +16,7 @@ import importlib.resources
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import BairelabError
+from .errors import BairelabError, natural
 
 
 class MalformedProgramError(BairelabError):
@@ -64,9 +64,7 @@ Instr = Union[Inc, Dec, Jz, Query, Halt]
 
 def _regs_of(ins: Instr) -> tuple[int, ...]:
     match ins:
-        case Inc(r) | Dec(r) | Halt(r):
-            return (r,)
-        case Jz(r, _):
+        case Inc(r) | Dec(r) | Halt(r) | Jz(r, _):
             return (r,)
         case Query(s, d):
             return (s, d)
@@ -346,44 +344,33 @@ def assemble(text: str) -> tuple[Instr, ...]:
     Lines may carry `name:` labels; JZ accepts a label in place of a
     numeric target.  `#` starts a comment.
     """
-    raw: list[tuple[str, list[str]]] = []
+    raw: list[list[str]] = []
     labels: dict[str, int] = {}
-    pieces = [
-        piece
-        for chunk in text.splitlines()
-        for piece in chunk.split("#", 1)[0].split(",")
-    ]
-    for piece in pieces:
-        line = piece.strip()
-        if not line:
-            continue
-        while ":" in line.split()[0]:
-            label, line = line.split(":", 1)
-            label = label.strip()
-            if label in labels:
-                raise MalformedProgramError(f"duplicate label {label!r}")
-            labels[label] = len(raw)
-            line = line.strip()
-            if not line:
-                break
-        if not line:
-            continue
-        op, *args = line.split()
-        raw.append((op.upper(), args))
+    for chunk in text.splitlines():
+        for piece in chunk.split("#", 1)[0].split(","):
+            *named, words = piece.split(":")
+            for label in map(str.strip, named):
+                if not label.isidentifier() or label in labels:
+                    raise MalformedProgramError(f"label {label!r} is taken or not a name")
+                labels[label] = len(raw)
+            if instruction := words.split():
+                raw.append(instruction)
 
     out: list[Instr] = []
-    for op, args in raw:
-        cls = _MNEMONICS.get(op)
+    for op, *args in raw:
+        cls = _MNEMONICS.get(op.upper())
         if cls is None:
             raise MalformedProgramError(f"unknown mnemonic {op!r}")
         want = 2 if cls in (Jz, Query) else 1
         if len(args) != want:
             raise MalformedProgramError(f"{op} expects {want} argument(s), got {args}")
-        if cls is Jz and not args[1].lstrip("-").isdigit():
-            if args[1] not in labels:
-                raise MalformedProgramError(f"undefined label {args[1]!r}")
-            args = [args[0], str(labels[args[1]])]
-        out.append(cls(*(int(a) for a in args)))
+        if cls is Jz and args[1] in labels:
+            args[1] = str(labels[args[1]])
+        what = f"{op} takes ASCII numerals" + (" or a label" if cls is Jz else "")
+        try:
+            out.append(cls(*(natural(a, what) for a in args)))
+        except ValueError as exc:
+            raise MalformedProgramError(str(exc)) from None
     return tuple(out)
 
 
@@ -408,15 +395,15 @@ def parse_registry(text: str) -> tuple[RegistryEntry, ...]:
         try:
             head, status = line.rsplit(";", 1)
             index_str, mnemonics = head.strip().split(None, 1)
-            index = int(index_str)
+            index = natural(index_str, "a program index is ASCII digits")
             program = OracleProgram(index, assemble(mnemonics))
             status = status.strip()
             claim: Union[int, Diverges]
             if status.startswith("halts="):
-                claim = int(status[len("halts=") :])
+                claim = natural(status[len("halts=") :], "a halts= trace is ASCII digits")
             elif status.startswith("diverges@"):
-                state = tuple(int(p) for p in status[len("diverges@") :].split(":"))
-                claim = Diverges(state)
+                state = status[len("diverges@") :].split(":")
+                claim = Diverges(tuple(natural(p, "a state is ASCII digits") for p in state))
             else:
                 raise RegistryError(f"bad status {status!r}")
         except (ValueError, BairelabError) as exc:

@@ -113,7 +113,7 @@ def apply_element(alpha: object, beta: object, fuel: int) -> BaireElement:
 
 # --- evaluation of closed terms over an environment -------------------------
 
-Env = dict[str, object]  # naturals, BaireElements, or range lists
+Env = dict[str, object]  # naturals, BaireElements, or lists and ranges
 
 
 def _env_num(env: Env, name: str) -> int:
@@ -208,7 +208,7 @@ def _values(f: Formula, env: Env, fuel: int):
         case BForallN(_, bound, _) | BExistsN(_, bound, _):
             return range(eval_term(bound, env, fuel)), True
     value = env.get(f.var)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, range)):
         return value, True
     if isinstance(f, (ForallN, ExistsN)):
         return range(fuel + 1), False
@@ -328,7 +328,7 @@ def check_realizes(
     """Fuel-bounded verdict on "r realizes f" over a finite environment.
 
     env maps free number variables to naturals, free function variables
-    to elements, and quantified variables to finite ranges (a list, or a
+    to elements, and quantified variables to finite ranges (a list or range, or a
     single element standing for a one-point range).  FUEL_EXHAUSTED
     settles nothing.  REALIZED and NOT_REALIZED follow a reading more
     lenient than Kleene's clauses:

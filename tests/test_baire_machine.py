@@ -1,6 +1,7 @@
 """Register machine, trace codes, certification, and Baire descriptors."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -65,11 +66,29 @@ def test_assemble_comma_separated():
 
 @pytest.mark.parametrize(
     "bad",
-    ["FOO 1", "INC", "JZ 0", "JZ 0 nowhere", "x: INC 0\nx: HALT 0", "HALT 0 1"],
+    [
+        "FOO 1", "INC", "JZ 0", "JZ 0 nowhere", "x: INC 0\nx: HALT 0", "HALT 0 1",
+        "INC 0: HALT 0", "3: HALT 0",
+    ],
 )
 def test_assemble_rejects(bad):
     with pytest.raises(MalformedProgramError):
         assemble(bad)
+
+
+@pytest.mark.parametrize(
+    "text, word", [("INC x", "x"), ("INC ٣, HALT 0", "٣"), ("JZ 0 -1", "-1"), ("JZ 0 ²", "²")]
+)
+def test_assemble_reads_operands_as_ascii_numerals(text, word):
+    with pytest.raises(MalformedProgramError, match=f"not {re.escape(repr(word))}$"):
+        assemble(text)
+
+
+def test_assemble_labels():
+    # a label on its own line names the next instruction; one may carry several
+    assert assemble("top:\n INC 0\n JZ 1 top\n a: b: HALT 0, JZ 0 b") == (
+        Inc(0), Jz(1, 0), Halt(0), Jz(0, 2),
+    )
 
 
 def test_program_validation():
@@ -258,6 +277,13 @@ def test_registry_rejects_corruption():
         parse_registry("0 HALT 0 ; flies")
     with pytest.raises(RegistryError):
         parse_registry("0 HALT 0")
+    for text in (
+        "٠ HALT ٠ ; halts=6_6_3",
+        "0 HALT 0 ; halts=+663",
+        "0 JZ 0 0, HALT 0 ; diverges@0:٠",
+    ):
+        with pytest.raises(RegistryError, match="ASCII digits"):
+            parse_registry(text)
     loop_trace = run(TIGHT_LOOP, 1, ZERO, 10).trace
     ends_on_jz = pack_trace(1, [(0, 0, 0)])  # a well-formed trace cut before HALT
     for text in (

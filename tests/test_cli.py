@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import bairelab
 from bairelab import cli, seqcode
 from bairelab.cli import build_parser, dispatch, parse_element, parse_env
 from bairelab.baire import FiniteSupport, Tabled
+from bairelab.errors import natural
 from bairelab.parser import KEYWORDS, MAX_DEPTH, ParseError, parse_formula, tokenize
 from bairelab.schemas import PAPER_MP_DISPLAY
 from bairelab.syntax import tree_depth
@@ -71,8 +73,15 @@ def test_usage_errors_exit_2():
         (("realize", "check", "--formula", "0=0", "--fuel", "-3"), "--fuel"),
         (("bar", "verify", "--rho", "builtin:never", "-b", "0", "-d", "2"), "-b/--branching"),
         (("bar", "recurse", "--rho", "builtin:never", "-b", "2", "-d", "0"), "-d/--depth"),
+        (("seq", "decode", "-5"), "code"),
+        (("jump", "run", "-3"), "code"),
+        (("seq", "encode", "-1"), "entries"),
+        (("seq", "concat", "16", "-16"), "right"),
     ],
-    ids=["seq-bar-length", "jump-demo-upto", "realize-check-fuel", "bar-branching", "bar-depth"],
+    ids=[
+        "seq-bar-length", "jump-demo-upto", "realize-check-fuel", "bar-branching", "bar-depth",
+        "seq-decode-code", "jump-run-code", "seq-encode-entry", "seq-concat-right",
+    ],
 )
 def test_negative_counts_are_usage_errors(argv, option):
     code, out, err = run(*argv)
@@ -87,8 +96,15 @@ def test_negative_counts_are_usage_errors(argv, option):
         (("realize", "check", "--formula", "0=0", "--fuel", "1_000"), "--fuel"),
         (("seq", "bar", "+3"), "length"),
         (("acceptance", "run", "--only", "٣"), "--only"),
+        (("seq", "encode", "٣", "1_0", "+4"), "entries"),
+        (("seq", "decode", "١٠٨"), "code"),
+        (("jump", "run", "١٠٨"), "code"),
+        (("seq", "encode", "x"), "entries"),
     ],
-    ids=["arabic-indic-branching", "underscored-fuel", "plus-length", "arabic-indic-only"],
+    ids=[
+        "arabic-indic-branching", "underscored-fuel", "plus-length", "arabic-indic-only",
+        "arabic-indic-entry", "arabic-indic-code", "arabic-indic-jump-code", "letter-entry",
+    ],
 )
 def test_counts_are_ascii_digits(argv, option):
     code, out, err = run(*argv)
@@ -100,6 +116,22 @@ def test_domain_errors_exit_1_with_message():
     code, out, err = run("schema", "NOPE")
     assert code == 1 and not out
     assert err.startswith("error: ")
+
+
+def test_readme_cli_examples_run_as_shown():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) >= 15
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "bairelab", line
+        code, out, err = run(*argv)
+        assert (code, err) == (0, ""), line
+        shown = line.partition(" # ")[2].strip()
+        if re.fullmatch("[0-9 ]+", shown):  # the comment is the output
+            assert out == shown + "\n", line
+        assert run("--machine", *argv)[::2] == (0, ""), line
 
 
 # --- parsing and printing ----------------------------------------------------
@@ -677,7 +709,7 @@ def test_natural_reads_exactly_the_lexers_numerals(text):
     except ParseError:
         kinds = []
     try:
-        cli._natural(text)
+        natural(text, "numerals are ASCII digits")
         read = True
     except ValueError:
         read = False
@@ -724,10 +756,18 @@ def test_file_element_must_be_an_object_of_integers(tmp_path, data):
     assert err.startswith("error: ") and "JSON" in err
 
 
+def test_file_element_nested_too_deep_is_an_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run("jump", "run", "1", "--alpha", f"file:{path}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "nested too deep" in err and "Traceback" not in err
+
+
 def test_parse_env_forms():
     env = parse_env("x=3; y=0..2; zs=1,2,3; @a=const:1; @bs=zero,const:2")
     assert env["x"] == 3
-    assert env["y"] == [0, 1, 2]
+    assert env["y"] == range(0, 3)
     assert env["zs"] == [1, 2, 3]
     assert env["@a"].at(0) == 1
     assert [e.at(0) for e in env["@bs"]] == [0, 2]
@@ -744,6 +784,13 @@ def test_parse_env_forms():
     for text, bad in [("x=a", "a"), ("x=٣", "٣"), ("y=1_0", "1_0"), ("z=+4", "+4"), ("x=-3", "-3")]:
         with pytest.raises(ValueError, match=f"^number variables range over the naturals, not '{re.escape(bad)}'$"):
             parse_env(text)
+
+
+@pytest.mark.parametrize("hi", ["10000000000", "100000000000000000000000"])
+def test_env_ranges_are_not_built_as_lists(hi):
+    # x = 5 refutes the universal long before the end of the range
+    argv = ("realize", "check", "--formula", "~ forall x. ~ x = 5", "--env", f"x=0..{hi}")
+    assert run(*argv) == (0, "realized\n", "")
 
 
 @pytest.mark.parametrize(
