@@ -5,7 +5,8 @@ the code path under test: truth tables against the intuitionistic
 prover, a freshly written register-machine simulator against the
 certified one, brute-force least-zero scans against the extracted
 witness, and so on.  `run_all` returns one CriterionResult per
-criterion; the CLI prints them as a table, the test suite asserts each
+criterion, and a criterion that raises fails with the exception as its
+detail; the CLI prints them as a table, the test suite asserts each
 one individually.
 
 Every randomized criterion runs from a fixed seed, so identical
@@ -18,6 +19,7 @@ import contextlib
 import io
 import random
 import time
+import traceback
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -78,7 +80,7 @@ class CriterionResult:
         return f"criterion {self.number:2d} {self.name}: {tag} [{self.detail}]"
 
 
-def run_criterion_1() -> CriterionResult:
+def run_criterion_1() -> tuple[bool, str]:
     """Classical validity must coincide with intuitionistic provability of
     the double negation translation, exhaustively at small size."""
     started = time.perf_counter()
@@ -91,15 +93,10 @@ def run_criterion_1() -> CriterionResult:
             mismatches += 1
     elapsed = time.perf_counter() - started
     passed = mismatches == 0 and elapsed <= 300.0
-    return CriterionResult(
-        1,
-        "translation-oracle-equivalence",
-        passed,
-        f"{total} formulas, {mismatches} mismatches, {elapsed:.1f}s",
-    )
+    return passed, f"{total} formulas, {mismatches} mismatches, {elapsed:.1f}s"
 
 
-def run_criterion_2() -> CriterionResult:
+def run_criterion_2() -> tuple[bool, str]:
     rng = random.Random(1814)
     n = 100_000
     failures = 0
@@ -107,12 +104,10 @@ def run_criterion_2() -> CriterionResult:
         f = random_formula(rng, rng.randint(0, 6))
         if not is_negative(neg_translate(f)):
             failures += 1
-    return CriterionResult(
-        2, "negative-range", failures == 0, f"{n} random formulas, {failures} failures"
-    )
+    return failures == 0, f"{n} random formulas, {failures} failures"
 
 
-def run_criterion_3() -> CriterionResult:
+def run_criterion_3() -> tuple[bool, str]:
     """Translating a bar-induction instance and restoring its bar-hit
     clause must land exactly on the instance over the translated body."""
     rng = random.Random(2609)
@@ -127,12 +122,10 @@ def run_criterion_3() -> CriterionResult:
             simplify_decidable_atoms(repaired), simplify_decidable_atoms(target)
         ):
             mismatches += 1
-    return CriterionResult(
-        3, "bi1-shape-law", mismatches == 0, f"{n} instances, {mismatches} mismatches"
-    )
+    return mismatches == 0, f"{n} instances, {mismatches} mismatches"
 
 
-def run_criterion_4() -> CriterionResult:
+def run_criterion_4() -> tuple[bool, str]:
     bad = 0
     roundtrips = 0
     for length in range(5):
@@ -158,9 +151,7 @@ def run_criterion_4() -> CriterionResult:
     for n in range(11):
         if seqcode.encode([n]) != 2 ** (n + 1):
             bad += 1
-    return CriterionResult(
-        4,
-        "sequence-codec",
+    return (
         bad == 0,
         f"{roundtrips} encodings, {len(small)} small codes, {pairs} concat pairs, {bad} bad",
     )
@@ -196,7 +187,7 @@ def _brute_halting_trace(
     return None
 
 
-def run_criterion_5() -> CriterionResult:
+def run_criterion_5() -> tuple[bool, str]:
     """The interleaved halting sequence, cross-checked against a
     brute-force simulator, must lie on the pruned tree.
 
@@ -248,10 +239,10 @@ def run_criterion_5() -> CriterionResult:
     )
     if problems:
         detail += "; " + "; ".join(problems[:4])
-    return CriterionResult(5, "jump-beta-construction", not problems, detail)
+    return not problems, detail
 
 
-def run_criterion_6() -> CriterionResult:
+def run_criterion_6() -> tuple[bool, str]:
     alpha = FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4)
     programs = registry_programs(load_registry())
     pruned = violations = 0
@@ -264,12 +255,7 @@ def run_criterion_6() -> CriterionResult:
         for n in range(8):
             if rho(seqcode.extend(s, n), alpha, programs) != 0:
                 violations += 1
-    return CriterionResult(
-        6,
-        "rho-monotonicity",
-        violations == 0,
-        f"{pruned} pruned codes, 8 extensions each, {violations} violations",
-    )
+    return violations == 0, f"{pruned} pruned codes, 8 extensions each, {violations} violations"
 
 
 def _brute_bar(cuts: set, b: int, d: int, base: Callable, step: Callable) -> tuple:
@@ -290,7 +276,7 @@ def _brute_bar(cuts: set, b: int, d: int, base: Callable, step: Callable) -> tup
     return None, max(len(p) for p in value if p in cuts), value[()]
 
 
-def run_criterion_7() -> CriterionResult:
+def run_criterion_7() -> tuple[bool, str]:
     wrong = 0
     for b in range(1, 6):
         for d in range(1, 6):
@@ -332,16 +318,14 @@ def run_criterion_7() -> CriterionResult:
         else:
             ok = bar_verify(rho_fn, b, d) == DepthExhausted(survivor) and got == survivor
         disagree += not ok
-    return CriterionResult(
-        7,
-        "bar-recursion-closed-form",
+    return (
         wrong == 0 and flagged and disagree == 0,
         f"25 closed forms, {wrong} wrong; unbarred tree flagged: {flagged}; "
         f"3000 irregular bars ({barred} barred) against a brute force, {disagree} disagreements",
     )
 
 
-def run_criterion_8() -> CriterionResult:
+def run_criterion_8() -> tuple[bool, str]:
     rng = random.Random(20260814)
     formula = instantiate(SchemaKind.MP)
     mp = mp_realizer()
@@ -361,16 +345,14 @@ def run_criterion_8() -> CriterionResult:
         verdict = check_realizes(mp, formula, {"@a": alpha}, fuel=200)
         if verdict.status is not Status.FUEL_EXHAUSTED:
             dry_wrong += 1
-    return CriterionResult(
-        8,
-        "mp-witness-extraction",
+    return (
         wrong == 0 and dry_wrong == 0,
         f"{n} elements with a zero ({wrong} wrong witnesses), "
         f"{n} without ({dry_wrong} settled)",
     )
 
 
-def run_criterion_9() -> CriterionResult:
+def run_criterion_9() -> tuple[bool, str]:
     """A defined application must not move under more fuel or under any
     argument agreeing on the consumed prefix."""
     rng = random.Random(977)
@@ -403,12 +385,10 @@ def run_criterion_9() -> CriterionResult:
             if k2_apply(alpha, stand_in, n, 64) != value:
                 unstable += 1
                 break
-    return CriterionResult(
-        9, "k2-continuity", unstable == 0, f"{n_cases} applications, {unstable} unstable"
-    )
+    return unstable == 0, f"{n_cases} applications, {unstable} unstable"
 
 
-def run_criterion_10() -> CriterionResult:
+def run_criterion_10() -> tuple[bool, str]:
     problems: list[str] = []
     w_body = Eq(NumVar("w"), Zero())
     xy_body = Eq(NumVar("x"), NumVar("y"))
@@ -446,26 +426,40 @@ def run_criterion_10() -> CriterionResult:
     detail = "11 kinds reparse, 3 freshness guards, pinned display via the CLI"
     if problems:
         detail += "; " + "; ".join(problems)
-    return CriterionResult(10, "schema-fidelity", not problems, detail)
+    return not problems, detail
 
 
-CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    run_criterion_1,
-    run_criterion_2,
-    run_criterion_3,
-    run_criterion_4,
-    run_criterion_5,
-    run_criterion_6,
-    run_criterion_7,
-    run_criterion_8,
-    run_criterion_9,
-    run_criterion_10,
+CRITERIA: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
+    ("translation-oracle-equivalence", run_criterion_1),
+    ("negative-range", run_criterion_2),
+    ("bi1-shape-law", run_criterion_3),
+    ("sequence-codec", run_criterion_4),
+    ("jump-beta-construction", run_criterion_5),
+    ("rho-monotonicity", run_criterion_6),
+    ("bar-recursion-closed-form", run_criterion_7),
+    ("mp-witness-extraction", run_criterion_8),
+    ("k2-continuity", run_criterion_9),
+    ("schema-fidelity", run_criterion_10),
 )
+"""Each criterion's name and its check, which returns (passed, detail)."""
+
+
+def _run(number: int) -> CriterionResult:
+    """Criterion number's result.  One that raises fails with the exception
+    as its detail, and its traceback goes to stderr, so it hides no other
+    criterion's line."""
+    name, check = CRITERIA[number - 1]
+    try:
+        passed, detail = check()
+    except Exception as exc:
+        traceback.print_exc()
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return CriterionResult(number, name, passed, detail)
 
 
 def run_all(only: Optional[int] = None) -> list[CriterionResult]:
     if only is not None:
         if not 1 <= only <= len(CRITERIA):
             raise ValueError(f"criterion number must be 1..{len(CRITERIA)}, got {only}")
-        return [CRITERIA[only - 1]()]
-    return [fn() for fn in CRITERIA]
+        return [_run(only)]
+    return [_run(number) for number in range(1, len(CRITERIA) + 1)]

@@ -118,7 +118,7 @@ Env = dict[str, object]  # naturals, BaireElements, or lists and ranges
 
 def _env_num(env: Env, name: str) -> int:
     value = env.get(name)
-    if not isinstance(value, int):
+    if not isinstance(value, (int, seqcode.Code)):
         raise FragmentError(f"number variable {name} needs a natural in env")
     return value
 

@@ -6,7 +6,7 @@ Each test prints the criterion's single pass/fail line (visible under
 is pinned inside the criterion itself.
 """
 
-from bairelab import acceptance
+from bairelab import acceptance, cli
 
 
 def _run(number: int) -> acceptance.CriterionResult:
@@ -77,3 +77,23 @@ def test_run_all_selector():
         acceptance.run_all(only=0)
     with pytest.raises(ValueError):
         acceptance.run_all(only=11)
+
+
+def test_a_criterion_that_raises_fails_and_hides_no_other_line(monkeypatch, capsys):
+    def boom():
+        raise ZeroDivisionError("division by zero")
+
+    entries = list(acceptance.CRITERIA)
+    entries[3] = (entries[3][0], boom)
+    for i in (0, 1, 4):  # criteria 1, 2 and 5 take seconds and are not under test here
+        entries[i] = (entries[i][0], lambda: (True, "stand-in"))
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(entries))
+    assert cli.dispatch(["acceptance", "run"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "Traceback" in err and "in boom" in err
+    assert len(lines) == 10
+    assert lines[3] == "criterion  4 sequence-codec: FAIL [ZeroDivisionError: division by zero]"
+    assert [line.split(":")[1].split()[0] for line in lines] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 6
+    assert cli.dispatch(["--machine", "acceptance", "run", "--only", "4"]) == 1
+    assert capsys.readouterr().out == "criterion.4=fail\n"

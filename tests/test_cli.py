@@ -112,6 +112,16 @@ def test_counts_are_ascii_digits(argv, option):
     assert err.startswith("usage: ") and f"argument {option}: must be ASCII digits, not " in err
 
 
+def test_overlong_numerals_say_they_are_too_long():
+    limit = sys.get_int_max_str_digits()
+    for argv in (("seq", "decode", "9" * 5000), ("jump", "run", "1" + "0" * (limit + 1))):
+        code, out, err = run(*argv)
+        digits = len(argv[-1])
+        assert (code, out) == (2, "")
+        assert f"too many digits: {argv[-1][:8]}... has {digits:,}, over the limit of {limit:,}" in err
+        assert argv[-1][:100] not in err and "ASCII" not in err
+
+
 def test_domain_errors_exit_1_with_message():
     code, out, err = run("schema", "NOPE")
     assert code == 1 and not out

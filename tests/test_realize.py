@@ -146,6 +146,9 @@ def test_eval_functor_lambda_and_continuous_application():
     env = {"@f": reader(1), "@b": FiniteSupport(((0, 9),), 0)}
     applied = eval_functor(ContApply(FnVar("@f"), FnVar("@b")), env, 20)
     assert applied.at(5) == 14
+    # continuous application binds a lambda's variable to a sequence code
+    succ = ContApply(Lambda("k", Add(NumVar("k"), numeral(1))), FnVar("@b"))
+    assert eval_functor(succ, env, 20).at(5) == 2**6
 
 
 def test_eval_requires_bindings():

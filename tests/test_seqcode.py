@@ -165,7 +165,9 @@ def test_a_code_prints_as_its_int():
     assert type(n) is int and n == c
     assert (str(c), repr(c), format(c, ","), format(c, "x")) == (
         str(n), repr(n), format(n, ","), format(n, "x"))
-    assert json.dumps({"code": c, "list": [c]}) == json.dumps({"code": n, "list": [n]})
+    with pytest.raises(TypeError):
+        json.dumps(c)
+    assert json.dumps({"code": int(c), "list": [int(c)]}) == '{"code": 150000, "list": [150000]}'
     assert hash(c) == hash(n) and {c: 1}[n] == 1
 
 
@@ -203,6 +205,40 @@ def test_carried_and_factored_codes_agree(xs, ys, item):
     assert rho(c, RHO_ALPHA, RHO_PROGRAMS) == rho(int(c), RHO_ALPHA, RHO_PROGRAMS)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6), st.lists(st.integers(0, 3), max_size=3),
+       st.integers(0, 5))
+def test_unguarded_codes_agree_with_their_integers(xs, ys, item):
+    c, d = encode(xs, max_bits=None), encode(ys, max_bits=None)
+    n, m = int(encode(xs)), int(encode(ys))
+    assert type(c) is Code and type(int(c)) is int and int(c) == n
+    assert (c == n, n == c, c != n, n != c) == (True, True, False, False)
+    assert (c == m, m == c, c != m, m != c) == (n == m, n == m, n != m, n != m)
+    assert (c == d, d == c, c != d, d != c) == (n == m, n == m, n != m, n != m)
+    assert (c < d, c <= d, c > d, c >= d) == (n < m, n <= m, n > m, n >= m)
+    assert (c < m, n < d, c >= m, n >= d) == (n < m, n < m, n >= m, n >= m)
+    assert hash(c) == hash(n) and {c: 1}[n] == 1
+    assert (str(c), repr(c), format(c, ","), format(c, "x"), f"{c}") == (
+        str(n), repr(n), format(n, ","), format(n, "x"), str(n))
+    for result, want in ((c + 0, n), (0 + c, n), (c * d, n * m), (c - 1, n - 1), (c**2, n**2)):
+        assert type(result) is int and result == want
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(twin) is Code and twin == c == n and twin.entries == xs
+    assert decode(c) == xs and lh(c) == len(xs)
+    assert extend(c, item, max_bits=None) == extend(n, item) == extend(c, item)
+    assert decode(extend(c, item, max_bits=None)) == xs + [item]
+    assert concat(c, d) == concat(n, m) and decode(concat(c, d)) == xs + ys
+    assert rho(c, RHO_ALPHA, RHO_PROGRAMS) == rho(n, RHO_ALPHA, RHO_PROGRAMS)
+
+
+def test_unguarded_codes_refuse_what_guarded_ones_refuse():
+    for build in (lambda: encode([1, -1], max_bits=None), lambda: extend(1, -1, max_bits=None)):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(TypeError):
+        encode([1.5], max_bits=None)
+
+
 def test_carried_codes_are_never_factored(monkeypatch):
     programs = registry_programs(load_registry())
     alpha = FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4)
@@ -226,3 +262,41 @@ def test_carried_codes_are_never_factored(monkeypatch):
     assert k2_apply_info(zero, beta, 3, 200) is None
     assert check_realizes(*mp, fuel=100).status is Status.REALIZED
     assert calls == []
+
+
+def test_entry_readers_build_no_integer(monkeypatch):
+    programs = registry_programs(load_registry())
+    alpha = FiniteSupport(((0, 3), (2, 5), (5, 1), (14, 2)), default=4)
+    beta = build_beta(alpha, certify({k: programs[k] for k in range(21)}, alpha, 100_000), 21)
+    prefix = bar(beta.at, 42, max_bits=None)
+    deviant = extend(bar(beta.at, 41, max_bits=None), beta.at(41) + 1, max_bits=None)
+    zero = FiniteSupport()
+    beta0 = build_beta(zero, certify(programs, zero, 100_000), 21)
+    # machine 4's slot claims no halt; it survives while shorter than the trace code
+    tampered = bar(lambda k: 0 if k == 9 else beta0.at(k), 400, max_bits=None)
+    mp = (mp_realizer(), instantiate(SchemaKind.MP), {"@a": FiniteSupport(((3, 0),), 2)})
+
+    builds = []
+    real = seqcode._product
+
+    def counted(entries, max_bits):
+        builds.append(len(entries))
+        return real(entries, max_bits)
+
+    monkeypatch.setattr(seqcode, "_product", counted)
+    assert rho(prefix, alpha, programs) == 1
+    assert rho(deviant, alpha, programs) == 0
+    assert rho(tampered, zero, programs) == 1
+    assert k2_apply_info(zero, beta, 3, 200) is None
+    assert prefix and prefix == bar(beta.at, 42, max_bits=None) and deviant != prefix
+    assert decode(pickle.loads(pickle.dumps(prefix))) == decode(copy.deepcopy(prefix))
+    assert builds == []
+    # the MP check applies an applied element, whose argument is the code
+    # of [0]; entries are plain ints, so that one-entry code is built
+    assert check_realizes(*mp, fuel=100).status is Status.REALIZED
+    assert builds == [1]
+    builds.clear()
+
+    c = encode([2, 0, 5], max_bits=None)
+    assert int(c) == int(c) == 2**3 * 3 * 5**6
+    assert builds == [3]
