@@ -4,10 +4,14 @@ Each criterion judges a construction against an oracle independent of
 the code path under test: truth tables against the intuitionistic
 prover, a freshly written register-machine simulator against the
 certified one, brute-force least-zero scans against the extracted
-witness, and so on.  `run_all` returns one CriterionResult per
-criterion, and a criterion that raises fails with the exception as its
-detail; the CLI prints them as a table, the test suite asserts each
-one individually.
+witness, sequence codes against the closed form prod_i p_i ** (x_i + 1)
+with the primes from a sieve of its own, and so on.  The oracles that
+are code live in `bairelab.reference`, which may import from bairelab
+only the syntax node classes, the instruction classes, `pack_trace`,
+`FiniteSupport`, `Tabled` and `errors`; this module holds the criteria
+alone.  `run_all` returns one CriterionResult per criterion, and a
+criterion that raises fails with the exception as its detail; the CLI
+prints them as a table, the test suite asserts each one individually.
 
 Every randomized criterion runs from a fixed seed, so identical
 invocations produce identical output.
@@ -40,25 +44,13 @@ from .jump import (
     rho,
     oracle_rho,
 )
-from .machine import (
-    Dec,
-    Diverges,
-    Halt,
-    Inc,
-    Jz,
-    OracleProgram,
-    Query,
-    certify,
-    load_registry,
-    pack_trace,
-    registry_programs,
-    verify_registry,
-)
+from .machine import Diverges, certify, load_registry, registry_programs, verify_registry
 from .negtrans import is_negative, neg_translate, repair_bi_clause1, simplify_decidable_atoms
 from .oracles import classical_valid, ipc_provable
 from .parser import parse_formula
 from .printer import format_formula
 from .realize import Status, check_realizes, k2_apply, k2_apply_info, mp_realizer
+from .reference import _brute_bar, _brute_halting_trace, _prime_power_code
 from .schemas import (
     PAPER_MP_DISPLAY,
     SchemaError,
@@ -131,8 +123,8 @@ def run_criterion_4() -> tuple[bool, str]:
     for length in range(5):
         for xs in product(range(6), repeat=length):
             roundtrips += 1
-            if seqcode.decode(seqcode.encode(xs)) != list(xs):
-                bad += 1
+            code = seqcode.encode(xs)
+            bad += (seqcode.decode(code) != list(xs)) + (code != _prime_power_code(xs))
     small = []
     for s in range(1, 10_001):
         entries = seqcode.decode(s)
@@ -148,6 +140,9 @@ def run_criterion_4() -> tuple[bool, str]:
             pairs += 1
             if seqcode.lh(seqcode.concat(a, b)) != la + seqcode.lh(b):
                 bad += 1
+    short = [xs for length in range(4) for xs in product(range(3), repeat=length)]
+    for xs, ys in product(short, repeat=2):
+        bad += seqcode.concat(seqcode.encode(xs), seqcode.encode(ys)) != _prime_power_code(xs + ys)
     for n in range(11):
         if seqcode.encode([n]) != 2 ** (n + 1):
             bad += 1
@@ -155,36 +150,6 @@ def run_criterion_4() -> tuple[bool, str]:
         bad == 0,
         f"{roundtrips} encodings, {len(small)} small codes, {pairs} concat pairs, {bad} bad",
     )
-
-
-def _brute_halting_trace(
-    program: OracleProgram, x: int, alpha: FiniteSupport, fuel: int
-) -> Optional[int]:
-    """Plain simulator, written apart from the certified one; it shares
-    only the instruction vocabulary and the trace packing."""
-    regs = [0] * program.num_registers
-    regs[0] = x
-    pc = 0
-    configs: list[tuple[int, ...]] = []
-    for _ in range(fuel):
-        ins = program.instructions[pc]
-        pending = alpha.at(regs[ins.src]) if isinstance(ins, Query) else 0
-        configs.append((pc, *regs, pending))
-        match ins:
-            case Halt(_):
-                return pack_trace(program.num_registers, configs)
-            case Inc(r):
-                regs[r] += 1
-                pc += 1
-            case Dec(r):
-                regs[r] = max(0, regs[r] - 1)
-                pc += 1
-            case Jz(r, target):
-                pc = target if regs[r] == 0 else pc + 1
-            case Query(_, d):
-                regs[d] = pending
-                pc += 1
-    return None
 
 
 def run_criterion_5() -> tuple[bool, str]:
@@ -256,24 +221,6 @@ def run_criterion_6() -> tuple[bool, str]:
             if rho(seqcode.extend(s, n), alpha, programs) != 0:
                 violations += 1
     return violations == 0, f"{pruned} pruned codes, 8 extensions each, {violations} violations"
-
-
-def _brute_bar(cuts: set, b: int, d: int, base: Callable, step: Callable) -> tuple:
-    """A bar given as a set of cut tuples, walked level by level over
-    tuples, with no sequence codes.  Returns (survivor, deepest, value):
-    the least path uncut at depth d, else None, the depth of the deepest
-    cut and the fold's value at the root, base at cut paths, step inside."""
-    levels = [[()]]
-    for _ in range(d):
-        levels.append([p + (n,) for p in levels[-1] if p not in cuts for n in range(b)])
-    survivors = [p for p in levels[d] if p not in cuts]
-    if survivors:
-        return min(survivors), None, None
-    value: dict = {}
-    for level in reversed(levels):
-        for p in level:
-            value[p] = base(p) if p in cuts else step(p, [value[p + (n,)] for n in range(b)])
-    return None, max(len(p) for p in value if p in cuts), value[()]
 
 
 def run_criterion_7() -> tuple[bool, str]:
@@ -353,7 +300,8 @@ def run_criterion_8() -> tuple[bool, str]:
 
 
 def run_criterion_9() -> tuple[bool, str]:
-    """A defined application must not move under more fuel or under any
+    """A defined application must read its argument at exactly the indices
+    below its modulus, and must not move under more fuel or under any
     argument agreeing on the consumed prefix."""
     rng = random.Random(977)
     n_cases = 1000
@@ -370,12 +318,13 @@ def run_criterion_9() -> tuple[bool, str]:
         overrides = {code: 0 for code in probes[:-1]}
         overrides[probes[-1]] = rng.randrange(1, 9)
         alpha = FiniteSupport(tuple(sorted(overrides.items())), rng.randrange(1, 4))
-        got = k2_apply_info(alpha, beta, n, 64)
+        read: set[int] = set()
+        got = k2_apply_info(alpha, lambda i: read.add(i) or beta.at(i), n, 64)
         if got is None:
             unstable += 1
             continue
         value, modulus = got
-        if k2_apply(alpha, beta, n, 128) != value:
+        if read != set(range(modulus)) or k2_apply(alpha, beta, n, 128) != value:
             unstable += 1
             continue
         for _ in range(2):

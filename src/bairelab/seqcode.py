@@ -76,8 +76,9 @@ class Code:
 
     The integer is built at most once: by the guarded call that made the
     code, or else by _product on the first of: int() or operator.index,
-    hash, str, repr, format, ordering, arithmetic (which gives a plain
-    int), bit_length, or == against anything but a Code.
+    hash, str, repr, format, ordering, bit_length, == against anything
+    but a Code, or arithmetic, which is + - * // % and ** on either side
+    and gives a plain int.
     Two Codes compare by their entries, which the coding makes the same as
     comparing their integers; a Code is always true; pickling and copying
     carry only the entries.  The entries never include a code, so a Code
@@ -121,23 +122,12 @@ class Code:
     __le__ = _read(operator.le)
     __gt__ = _read(operator.gt)
     __ge__ = _read(operator.ge)
-    __neg__ = _read(operator.neg)
-    __pos__ = _read(operator.pos)
-    __abs__ = _read(operator.abs)
-    __invert__ = _read(operator.invert)
     __add__, __radd__ = _read_both(operator.add)
     __sub__, __rsub__ = _read_both(operator.sub)
     __mul__, __rmul__ = _read_both(operator.mul)
-    __truediv__, __rtruediv__ = _read_both(operator.truediv)
     __floordiv__, __rfloordiv__ = _read_both(operator.floordiv)
     __mod__, __rmod__ = _read_both(operator.mod)
-    __divmod__, __rdivmod__ = _read_both(divmod)
     __pow__, __rpow__ = _read_both(pow)
-    __lshift__, __rlshift__ = _read_both(operator.lshift)
-    __rshift__, __rrshift__ = _read_both(operator.rshift)
-    __and__, __rand__ = _read_both(operator.and_)
-    __or__, __ror__ = _read_both(operator.or_)
-    __xor__, __rxor__ = _read_both(operator.xor)
 
 
 def encode(items: list[int] | tuple[int, ...], max_bits: int | None = DEFAULT_MAX_BITS) -> Code:

@@ -6,7 +6,9 @@ Each test prints the criterion's single pass/fail line (visible under
 is pinned inside the criterion itself.
 """
 
-from bairelab import acceptance, cli
+import re
+
+from bairelab import acceptance, cli, seqcode
 
 
 def _run(number: int) -> acceptance.CriterionResult:
@@ -97,3 +99,26 @@ def test_a_criterion_that_raises_fails_and_hides_no_other_line(monkeypatch, caps
     assert [line.split(":")[1].split()[0] for line in lines] == ["PASS"] * 3 + ["FAIL"] + ["PASS"] * 6
     assert cli.dispatch(["--machine", "acceptance", "run", "--only", "4"]) == 1
     assert capsys.readouterr().out == "criterion.4=fail\n"
+
+
+def test_criteria_4_and_9_each_fail_their_mutant(monkeypatch):
+    """A swapped concat fails criterion 4 and a modulus one too long fails
+    criterion 9, each on its own FAIL line rather than by raising."""
+    concat, apply_info = seqcode.concat, acceptance.k2_apply_info
+
+    def modulus_plus_one(*args):
+        got = apply_info(*args)
+        return None if got is None else (got[0], got[1] + 1)
+
+    monkeypatch.setattr(seqcode, "concat", lambda a, b: concat(b, a))
+    monkeypatch.setattr(acceptance, "k2_apply_info", modulus_plus_one)
+    (codec,) = acceptance.run_all(only=4)
+    (continuity,) = acceptance.run_all(only=9)
+    assert re.fullmatch(
+        r"criterion  4 sequence-codec: FAIL \[1555 encodings, 148 small codes, "
+        r"21904 concat pairs, [1-9]\d* bad\]",
+        codec.line(),
+    )
+    assert continuity.line() == (
+        "criterion  9 k2-continuity: FAIL [1000 applications, 1000 unstable]"
+    )

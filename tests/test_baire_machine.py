@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bairelab import seqcode
-from bairelab.acceptance import _brute_halting_trace
 from bairelab.baire import FiniteSupport, FuelExhausted, Program, Tabled, _seq_view
 from bairelab.machine import (
     Dec,
@@ -33,6 +32,7 @@ from bairelab.machine import (
     verify_registry,
 )
 from bairelab.realize import mp_realizer
+from bairelab.reference import _brute_halting_trace
 
 ZERO = lambda n: 0  # noqa: E731
 
